@@ -5,14 +5,15 @@ Usage:
     python scripts/run_all.py [--seed N] [--assert]
 
 Equivalent to calling `distreg <experiment> --config scripts/configs/<experiment>.yaml`
-once per experiment.
+(plus the given --seed / --assert) once per experiment; it exits with the
+largest status of those runs.
 """
 
 import argparse
 import sys
 from pathlib import Path
 
-from distreg.experiments import parse_config, run_experiment, summary_line
+from distreg import cli
 
 CONFIG_DIR = Path(__file__).parent / "configs"
 
@@ -22,18 +23,13 @@ def main() -> int:
     parser.add_argument("--seed", type=int, help="override every config's seed")
     parser.add_argument("--assert", dest="assert_mode", action="store_true")
     args = parser.parse_args()
+    passed = ["--assert"] if args.assert_mode else []
+    if args.seed is not None:
+        passed += ["--seed", str(args.seed)]
 
     Path("results").mkdir(exist_ok=True)
-    failures = 0
-    for path in sorted(CONFIG_DIR.glob("*.yaml")):
-        config = parse_config(path.read_text())
-        if args.seed is not None:
-            config.seed = args.seed
-        report = run_experiment(config)
-        print(summary_line(report))
-        if args.assert_mode and not report.assert_ok:
-            failures += 1
-    return 1 if failures else 0
+    configs = sorted(CONFIG_DIR.glob("*.yaml"))
+    return max(cli.main([path.stem, "--config", str(path), *passed]) for path in configs)
 
 
 if __name__ == "__main__":

@@ -4,20 +4,22 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
+from pathlib import Path
 
 import yaml
 
-from .experiments import DEFAULTS, EXPERIMENTS, ConfigError, parse_config, run_experiment, summary_line
+from .experiments import DEFAULTS, EXPERIMENTS, ConfigError, ExperimentConfig, MetaConfig
+from .experiments import parse_config, run_experiment, summary_line
 
 
 def _defaults_epilog() -> str:
+    def flow(values: dict) -> str:
+        return yaml.safe_dump(values, default_flow_style=True, width=1000).strip()
+
     lines = ["per-experiment defaults (override in the config file):"]
-    for name in EXPERIMENTS:
-        lines.append(f"  {name}: {yaml.safe_dump(DEFAULTS[name], default_flow_style=True).strip()}")
-    lines.append(
-        "meta defaults: family=uniform_location, dim=1, box [0,1]^dim, base_width=2.0,\n"
-        "  label_fn=coordinate_sum, lipschitz_const=1.0, distance_scale=1.0"
-    )
+    lines += [f"  {name}: {flow(DEFAULTS[name])}" for name in EXPERIMENTS]
+    lines.append(f"meta defaults (the config's meta mapping): {flow(asdict(MetaConfig()))}")
     lines.append("environment: DISTREG_THREADS caps trial-loop workers (default 1)")
     return "\n".join(lines)
 
@@ -42,21 +44,32 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    text = ""
-    if args.config:
-        with open(args.config) as fh:
-            text = fh.read()
+def _load(args: argparse.Namespace) -> ExperimentConfig:
+    """The config with the CLI overrides applied; every path is checked before any work."""
     try:
-        config = parse_config(text, experiment=args.experiment)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        text = Path(args.config).read_text() if args.config else ""
+    except OSError as exc:
+        raise ConfigError(f"cannot read config: {exc}") from exc
+    config = parse_config(text, experiment=args.experiment)
     if args.seed is not None:
         config.seed = args.seed
     if args.out is not None:
         config.out_path = args.out
+    out = Path(config.out_path)
+    if not out.parent.is_dir():
+        raise ConfigError(f"output directory does not exist: {out.parent}")
+    if out.is_dir():
+        raise ConfigError(f"output path is a directory: {out}")
+    return config
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = build_parser().parse_args(argv)
+    try:
+        config = _load(args)
+    except ConfigError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = run_experiment(config)
     print(summary_line(report))
     if args.assert_mode and not report.assert_ok:

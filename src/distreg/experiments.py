@@ -11,15 +11,14 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Callable
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .density_distance import default_points_per_axis
-from .kernels import KERNELS, kde_build, select_bandwidth
+from .kernels import KERNELS, KernelSpec, kde_build, select_bandwidth
 from .meta_world import MetaDistribution, draw_distribution, draw_samples, make_box_meta, oracle_label
 from .regression import (
     adaptive_closest_point,
@@ -48,15 +47,6 @@ __all__ = [
     "run_experiment",
 ]
 
-EXPERIMENTS = (
-    "theorem1_scaling",
-    "small_ball",
-    "lemma1",
-    "adaptive_regression",
-    "kernel_kernel_baseline",
-    "calibrate",
-)
-
 
 class ConfigError(ValueError):
     """Invalid or unparsable experiment configuration."""
@@ -80,16 +70,7 @@ class MetaConfig:
     distance_scale: float = 1.0
 
     def build(self, dim: int | None = None) -> MetaDistribution:
-        return make_box_meta(
-            dim=dim if dim is not None else self.dim,
-            family=self.family,
-            lo=self.lo,
-            hi=self.hi,
-            base_width=self.base_width,
-            label_fn=self.label_fn,
-            lipschitz_const=self.lipschitz_const,
-            distance_scale=self.distance_scale,
-        )
+        return make_box_meta(**{**asdict(self), "dim": self.dim if dim is None else dim})
 
 
 @dataclass
@@ -115,7 +96,7 @@ class ExperimentConfig:
     calibration_trials: int | None = None
 
 
-# Per-experiment defaults; surfaced in the CLI --help epilog.
+# Per-experiment defaults; surfaced in the CLI --help epilog.  Its keys are the experiments.
 DEFAULTS: dict[str, dict[str, Any]] = {
     "theorem1_scaling": {"trials": 200, "d_list": [1, 2, 3], "m_list": [16, 64, 256, 1024, 4096]},
     "small_ball": {"trials": 10_000, "d_list": [1, 2], "i_max": 10},
@@ -128,40 +109,9 @@ DEFAULTS: dict[str, dict[str, Any]] = {
         "calibration_trials": 50,
     },
     "kernel_kernel_baseline": {"trials": 50, "m": 40, "n": 256, "h": 0.25, "kernel": "gaussian"},
-    "calibrate": {"trials": 50, "confidence": 0.9, "target_err": 0.1},
+    "calibrate": {"trials": 50, "confidence": 0.9, "target_err": 0.1, "kernel": "epanechnikov"},
 }
-
-_CONFIG_KEYS = {
-    "experiment",
-    "seed",
-    "trials",
-    "out_path",
-    "meta",
-    "d_list",
-    "m_list",
-    "i_max",
-    "epsilon",
-    "lipschitz",
-    "n",
-    "h",
-    "m",
-    "kernel",
-    "points_per_axis",
-    "target_err",
-    "confidence",
-    "max_iter",
-    "calibration_trials",
-}
-_META_KEYS = {
-    "family",
-    "dim",
-    "lo",
-    "hi",
-    "base_width",
-    "label_fn",
-    "lipschitz_const",
-    "distance_scale",
-}
+EXPERIMENTS = tuple(DEFAULTS)
 
 
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
@@ -177,7 +127,7 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of keys to values")
 
-    unknown = set(raw) - _CONFIG_KEYS
+    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
 
@@ -195,12 +145,12 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     meta_raw = raw.pop("meta", {}) or {}
     if not isinstance(meta_raw, dict):
         raise ConfigError("meta must be a mapping")
-    unknown = set(meta_raw) - _META_KEYS
+    unknown = set(meta_raw) - {f.name for f in fields(MetaConfig)}
     if unknown:
         raise ConfigError(f"unknown meta keys: {sorted(unknown)}")
 
     merged: dict[str, Any] = dict(DEFAULTS[name])
-    merged.update(raw)
+    merged.update((key, value) for key, value in raw.items() if value is not None)  # null keeps the default
 
     try:
         meta = MetaConfig(**meta_raw)
@@ -234,8 +184,6 @@ class RunReport:
     rows: list[tuple]
     summary: dict[str, Any]
     assert_ok: bool
-    wall_time_s: float
-    version: str
 
 
 def _fmt(value) -> str:
@@ -336,20 +284,14 @@ def _run_lemma1(config: ExperimentConfig):
     return header, rows, {}, ok
 
 
-def _resolve_adaptive_n(config: ExperimentConfig, meta: MetaDistribution, lipschitz: float):
-    if config.n is not None:
-        return config.n, None
+def _calibrate(
+    config: ExperimentConfig, meta: MetaDistribution, target_err: float, trials: int, kernel: KernelSpec
+):
+    """calibrate_sample_size on the family grid, with the config's confidence and seed."""
     grid = family_grid(meta, 16, points_per_axis=config.points_per_axis)
-    result = calibrate_sample_size(
-        meta,
-        target_err=config.epsilon / (9.0 * lipschitz),
-        confidence=config.confidence,
-        rng=_rng(config.seed, 0),
-        grid=grid,
-        trials=config.calibration_trials,
-        kernel=KERNELS[config.kernel],
+    return calibrate_sample_size(
+        meta, target_err, config.confidence, _rng(config.seed, 0), grid, trials=trials, kernel=kernel
     )
-    return result.n, result
 
 
 def _run_adaptive_regression(config: ExperimentConfig):
@@ -357,10 +299,13 @@ def _run_adaptive_regression(config: ExperimentConfig):
     meta = config.meta.build()
     lipschitz = config.lipschitz if config.lipschitz is not None else meta.lipschitz_const
     epsilon = config.epsilon
-    n, calibration = _resolve_adaptive_n(config, meta, lipschitz)
+    kernel = KERNELS[config.kernel]
+    n, calibration = config.n, None
+    if n is None:
+        calibration = _calibrate(config, meta, epsilon / (9.0 * lipschitz), config.calibration_trials, kernel)
+        n = calibration.n
     grid = family_grid(meta, min(n, 16), points_per_axis=config.points_per_axis)
     max_iter = config.max_iter or default_max_iter(epsilon, lipschitz, meta.dim)
-    kernel = KERNELS[config.kernel]
 
     def one_trial(t: int) -> tuple:
         rng = _rng(config.seed, 1, t)
@@ -411,17 +356,7 @@ def _run_kernel_kernel_baseline(config: ExperimentConfig):
 
 def _run_calibrate(config: ExperimentConfig):
     header = "candidate_n,mean_l1,stderr,passed"
-    meta = config.meta.build()
-    grid = family_grid(meta, 16, points_per_axis=config.points_per_axis)
-    result = calibrate_sample_size(
-        meta,
-        target_err=config.target_err,
-        confidence=config.confidence,
-        rng=_rng(config.seed, 0),
-        grid=grid,
-        trials=config.trials,
-        kernel=KERNELS[config.kernel] if config.kernel else KERNELS["epanechnikov"],
-    )
+    result = _calibrate(config, config.meta.build(), config.target_err, config.trials, KERNELS[config.kernel])
     rows = [tuple(entry) for entry in result.history]
     summary = {"n": result.n, "capped": result.capped}
     return header, rows, summary, not result.capped
@@ -453,15 +388,7 @@ def run_experiment(config: ExperimentConfig) -> RunReport:
         "version": __version__,
         **summary,
     }
-    return RunReport(
-        config=config,
-        header=header,
-        rows=rows,
-        summary=summary,
-        assert_ok=ok,
-        wall_time_s=wall,
-        version=__version__,
-    )
+    return RunReport(config=config, header=header, rows=rows, summary=summary, assert_ok=ok)
 
 
 def summary_line(report: RunReport) -> str:

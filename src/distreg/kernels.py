@@ -137,17 +137,25 @@ class DensityEstimate:
         return self.points.min(axis=0) - b, self.points.max(axis=0) + b
 
 
-def kde_build(samples, bandwidth: float, kernel: KernelSpec) -> DensityEstimate:
-    """Build a density estimate from samples in R^k.
-
-    Accepts an (n, k) array or a sequence of length-k vectors; 1D scalars are
-    promoted to k = 1.
-    """
+def _as_points(samples) -> np.ndarray:
+    """Samples as an (n, k) float array; 1D scalars are promoted to k = 1."""
     pts = np.asarray(samples, dtype=float)
     if pts.ndim == 1:
         pts = pts[:, None]
     if pts.ndim != 2 or pts.size == 0:
         raise ValueError("samples must be a non-empty sequence of equal-length vectors")
+    if not np.isfinite(pts).all():
+        raise ValueError("samples contain non-finite values (nan or inf)")
+    return pts
+
+
+def kde_build(samples, bandwidth: float, kernel: KernelSpec) -> DensityEstimate:
+    """Build a density estimate from finite samples in R^k.
+
+    Accepts an (n, k) array or a sequence of length-k vectors; 1D scalars are
+    promoted to k = 1.  NaN or infinite samples raise ValueError.
+    """
+    pts = _as_points(samples)
     if not bandwidth > 0:
         raise ValueError("bandwidth must be positive")
     pts = pts.copy()
@@ -226,9 +234,7 @@ def select_bandwidth(samples, min_bandwidth: float = 1e-3) -> float:
     Spread is the population (ddof=0) standard deviation averaged over
     coordinates, floored at min_bandwidth so degenerate samples stay usable.
     """
-    pts = np.asarray(samples, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+    pts = _as_points(samples)
     n, k = pts.shape
     if n < 2:
         raise ValueError("bandwidth selection needs at least 2 samples")

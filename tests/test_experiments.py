@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -14,6 +15,8 @@ from distreg.experiments import (
     summary_line,
 )
 
+
+REPO = Path(__file__).resolve().parent.parent
 
 MINIMAL_THEOREM1 = """
 experiment: theorem1_scaling
@@ -31,6 +34,7 @@ def test_parse_minimal_config_fills_defaults():
     assert config.d_list == [1]
     assert config.m_list == [16, 256]
     assert config.out_path == "distreg_theorem1_scaling.csv"
+    assert parse_config("experiment: calibrate\nkernel: null\n").kernel == "epanechnikov"
 
 
 def test_parse_rejects_unknown_experiment():
@@ -199,3 +203,24 @@ def test_cli_config_error_is_reported(tmp_path, capsys):
     code = main(["lemma1", "--config", str(cfg)])
     assert code == 2
     assert "error" in capsys.readouterr().err
+    # A missing config, an --out in a missing directory and an --out that is a
+    # directory fail before any work.
+    for argv, message in [
+        (["lemma1", "--config", str(tmp_path / "missing.yaml")], "cannot read config"),
+        (["lemma1", "--out", str(tmp_path / "no_dir" / "out.csv")], "output directory does not exist"),
+        (["lemma1", "--out", str(tmp_path)], "output path is a directory"),
+    ]:
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "no_dir").exists()
+
+
+@pytest.mark.parametrize("stem", ["calibrate", "lemma1", "small_ball", "theorem1_scaling"])
+def test_shipped_config_reproduces_tracked_csv(stem, tmp_path):
+    """The sub-second shipped configs regenerate results/<stem>.csv byte for byte."""
+    out = tmp_path / f"{stem}.csv"
+    code = main([stem, "--config", str(REPO / "scripts" / "configs" / f"{stem}.yaml"), "--out", str(out)])
+    assert code == 0
+    assert out.read_bytes() == (REPO / "results" / f"{stem}.csv").read_bytes()

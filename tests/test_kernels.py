@@ -88,6 +88,9 @@ def test_kde_build_errors():
         dr.kde_build([[0.0]], 0.0, dr.BOXCAR)
     with pytest.raises(ValueError):
         dr.kde_build([[0.0, 1.0], [2.0]], 1.0, dr.BOXCAR)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            dr.kde_build([[0.0], [bad], [1.0]], 0.5, dr.EPANECHNIKOV)
 
 
 def test_kde_eval_dimension_mismatch():
@@ -182,6 +185,9 @@ def test_select_bandwidth_stated_rule():
 def test_select_bandwidth_needs_two_samples():
     with pytest.raises(ValueError):
         dr.select_bandwidth([[0.0]])
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            dr.select_bandwidth([[0.0], [bad], [1.0]])
 
 
 @given(st.floats(0.5, 4.0), st.integers(0, 2**32 - 1))
