@@ -72,6 +72,13 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     report = run_experiment(config)
     print(summary_line(report))
+    if report.summary.get("calibration_capped"):
+        # Reported, not failed: the cap is a known limit of the shipped target (see README).
+        print(
+            f"warning: calibration hit the n = {report.summary['n']} cap without reaching "
+            "its target error; the trials ran at the cap",
+            file=sys.stderr,
+        )
     if args.assert_mode and not report.assert_ok:
         return 1
     return 0

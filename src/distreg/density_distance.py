@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -62,12 +63,20 @@ class GridSpec:
         ]
 
     def mesh(self) -> np.ndarray:
-        """All grid nodes as an (N, dim) array in C order."""
-        grids = np.meshgrid(*self.axes(), indexing="ij")
-        return np.stack([g.ravel() for g in grids], axis=-1)
+        """All grid nodes as a read-only (N, dim) array in C order, built once per grid."""
+        return self._mesh
 
     def quadrature_weights(self) -> np.ndarray:
-        """Composite-trapezoid node weights, flattened to match mesh()."""
+        """Read-only composite-trapezoid node weights, flattened to match mesh()."""
+        return self._weights
+
+    @cached_property
+    def _mesh(self) -> np.ndarray:
+        grids = np.meshgrid(*self.axes(), indexing="ij")
+        return _read_only(np.stack([g.ravel() for g in grids], axis=-1))
+
+    @cached_property
+    def _weights(self) -> np.ndarray:
         parts = []
         for a, b in zip(self.lo, self.hi):
             step = (b - a) / (self.points_per_axis - 1)
@@ -77,7 +86,12 @@ class GridSpec:
         out = parts[0]
         for w in parts[1:]:
             out = np.multiply.outer(out, w)
-        return out.ravel()
+        return _read_only(out.ravel())
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
 
 
 def default_grid(

@@ -12,7 +12,7 @@ import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, field, fields
-from typing import Any, Callable
+from typing import Any, Callable, get_args, get_type_hints
 
 import numpy as np
 import yaml
@@ -114,6 +114,29 @@ DEFAULTS: dict[str, dict[str, Any]] = {
 EXPERIMENTS = tuple(DEFAULTS)
 
 
+def _type_error(key: str, value: Any, hint: Any) -> str | None:
+    """Why value does not fit the annotation hint of config key, or None if it fits.
+
+    YAML gives ints, floats, strings and lists; an int field takes no bool and
+    no float, and a float field takes an int.
+    """
+    args = get_args(hint)
+    expected = next(a for a in args if a is not type(None)) if type(None) in args else hint
+    if expected is int:
+        ok = isinstance(value, int) and not isinstance(value, bool)
+    elif expected is float:
+        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
+    elif expected is str:
+        ok = isinstance(value, str)
+    else:  # list[int]
+        ok = isinstance(value, list) and all(_type_error(key, v, int) is None for v in value)
+        return None if ok else f"{key} must be a list of int, got {value!r}"
+    return None if ok else f"{key} must be {expected.__name__}, got {value!r}"
+
+
+_FIELD_TYPES = get_type_hints(ExperimentConfig)
+
+
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     """Parse a YAML key-value document into a validated, default-filled config.
 
@@ -151,6 +174,10 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
 
     merged: dict[str, Any] = dict(DEFAULTS[name])
     merged.update((key, value) for key, value in raw.items() if value is not None)  # null keeps the default
+    for key, value in merged.items():
+        problem = _type_error(key, value, _FIELD_TYPES[key])
+        if problem:
+            raise ConfigError(problem)
 
     try:
         meta = MetaConfig(**meta_raw)
@@ -161,8 +188,6 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     config = ExperimentConfig(experiment=name, meta=meta, **merged)
     if not config.out_path:
         config.out_path = f"distreg_{name}.csv"
-    config.seed = int(config.seed)
-    config.trials = int(config.trials)
     if config.trials < 1:
         raise ConfigError("trials must be >= 1")
     if config.kernel is not None and config.kernel not in KERNELS:

@@ -33,7 +33,32 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
-_KINDS = ("boxcar", "epanechnikov", "gaussian")
+
+# Radial profiles, each overwriting a float array of u >= 0 (nan excluded) in
+# place.  KernelSpec.profile and the dense path both use this table, so each
+# formula is written once; the operation order is part of the bit-exact
+# contract of kde_eval_many.
+def _boxcar(u: np.ndarray) -> None:
+    np.less_equal(u, 1.0, out=u)
+    np.multiply(u, 0.5, out=u)
+
+
+def _epanechnikov(u: np.ndarray) -> None:
+    # 1 - u*u < 0 for every u > 1, so the clamp alone zeroes the outside.
+    np.multiply(u, u, out=u)
+    np.subtract(1.0, u, out=u)
+    np.maximum(u, 0.0, out=u)
+    np.multiply(u, 0.75, out=u)
+
+
+def _gaussian(u: np.ndarray) -> None:
+    t = np.multiply(u, -0.5)  # a copy keeps the order (-0.5 * u) * u
+    np.multiply(t, u, out=u)
+    np.exp(u, out=u)
+    np.divide(u, _SQRT_2PI, out=u)
+
+
+_PROFILES = {"boxcar": _boxcar, "epanechnikov": _epanechnikov, "gaussian": _gaussian}
 
 
 @dataclass(frozen=True)
@@ -46,7 +71,7 @@ class KernelSpec:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        if self.kind not in _PROFILES:
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
 
     @property
@@ -55,15 +80,12 @@ class KernelSpec:
         return math.inf if self.kind == "gaussian" else 1.0
 
     def profile(self, u):
-        """Evaluate the radial profile at nonnegative u (vectorized)."""
-        u = np.asarray(u, dtype=float)
-        if np.any(u < 0):
-            raise ValueError("kernel argument must be nonnegative")
-        if self.kind == "boxcar":
-            return np.where(u <= 1.0, 0.5, 0.0)
-        if self.kind == "epanechnikov":
-            return np.where(u <= 1.0, 0.75 * np.maximum(0.0, 1.0 - u * u), 0.0)
-        return np.exp(-0.5 * u * u) / _SQRT_2PI
+        """Evaluate the radial profile at nonnegative u (vectorized); nan is rejected."""
+        u = np.array(u, dtype=float)
+        if not np.all(u >= 0):
+            raise ValueError("kernel argument must be nonnegative and not nan")
+        _PROFILES[self.kind](u)
+        return u
 
 
 BOXCAR = KernelSpec("boxcar")
@@ -169,21 +191,71 @@ def kde_build(samples, bandwidth: float, kernel: KernelSpec) -> DensityEstimate:
     )
 
 
-# Cap on pairwise-block size for the dense evaluation path.
+# Cap on pairwise-block size for the dense evaluation path.  Blocks are sized
+# from the full query count, so each row sums its samples in the same blocks
+# whichever rows are computed.
 _BLOCK_ELEMENTS = 4_000_000
+# Query rows x samples per tile of the dense path's scratch buffers.
+_TILE_ELEMENTS = 2**15
+# Relative widening of the support box before rows outside it are skipped;
+# far above the rounding of the box corners and of the distances.
+_SUPPORT_MARGIN = 1e-9
+
+
+def _rows_in_support(est: DensityEstimate, x: np.ndarray) -> np.ndarray | None:
+    """Indices of the query rows that can see a sample; None means all rows."""
+    if not math.isfinite(est.kernel.support_radius):
+        return None
+    lo, hi = est.support_box()
+    pad = _SUPPORT_MARGIN * np.maximum(np.abs(lo), np.abs(hi))
+    inside = ((x >= lo - pad) & (x <= hi + pad)).all(axis=1)
+    return None if inside.all() else np.flatnonzero(inside)
 
 
 def _eval_dense(est: DensityEstimate, x: np.ndarray) -> np.ndarray:
-    b = est.bandwidth
-    scale = 1.0 / (est.count * est._normalizer * b**est.dim)
-    out = np.zeros(x.shape[0])
+    """Density at every query row, tile by tile; rows outside a compact support are 0.
+
+    Each value comes from the same float operations, in the same order, as a
+    single pass that materialises the (queries x samples x dim) difference
+    tensor of every sample block.
+    """
+    b, dim = est.bandwidth, est.dim
+    scale = 1.0 / (est.count * est._normalizer * b**dim)
     block = max(1, _BLOCK_ELEMENTS // max(1, x.shape[0]))
-    for start in range(0, est.count, block):
-        chunk = est.points[start : start + block]
-        diff = x[:, None, :] - chunk[None, :, :]
-        u = np.sqrt(np.einsum("qjk,qjk->qj", diff, diff)) / b
-        out += est.kernel.profile(u).sum(axis=1)
-    return out * scale
+    rows = _rows_in_support(est, x)
+    q = x if rows is None else x[rows]
+    profile = _PROFILES[est.kernel.kind]
+    width = min(block, est.count)
+    tile = max(1, _TILE_ELEMENTS // width)
+    # Flat buffers, reshaped per tile and block, keep every operand C-contiguous.
+    u_buf = np.empty(tile * width)
+    if dim > 1:
+        diff_buf = np.empty(u_buf.size * dim)
+    values = np.empty(q.shape[0])
+    for first in range(0, q.shape[0], tile):
+        qt = q[first : first + tile]
+        acc = np.zeros(qt.shape[0])
+        for start in range(0, est.count, block):
+            chunk = est.points[start : start + block]
+            shape = (qt.shape[0], chunk.shape[0])
+            u = u_buf[: shape[0] * shape[1]].reshape(shape)
+            if dim == 1:  # diff * diff equals the one-term einsum bit for bit
+                np.subtract(qt, chunk[:, 0], out=u)
+                np.multiply(u, u, out=u)
+            else:
+                diff = diff_buf[: u.size * dim].reshape(*shape, dim)
+                np.subtract(qt[:, None, :], chunk[None, :, :], out=diff)
+                np.einsum("qjk,qjk->qj", diff, diff, out=u)
+            np.sqrt(u, out=u)
+            np.divide(u, b, out=u)
+            profile(u)
+            acc += u.sum(axis=1)
+        np.multiply(acc, scale, out=values[first : first + tile])
+    if rows is None:
+        return values
+    out = np.zeros(x.shape[0])
+    out[rows] = values
+    return out
 
 
 def _eval_compact_1d(est: DensityEstimate, x: np.ndarray) -> np.ndarray:

@@ -112,6 +112,21 @@ def test_quadrature_weights_sum_to_volume():
     assert grid.quadrature_weights().sum() == pytest.approx(4.0, rel=1e-12)
 
 
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_mesh_and_weights_are_built_once_and_read_only(dim):
+    grid = GridSpec(lo=(-1.0, 0.0, 2.0)[:dim], hi=(1.0, 3.0, 2.5)[:dim], points_per_axis=9)
+    mesh, weights = grid.mesh(), grid.quadrature_weights()
+    assert mesh is grid.mesh() and weights is grid.quadrature_weights()
+    assert not mesh.flags.writeable and not weights.flags.writeable
+    with pytest.raises(ValueError):
+        mesh[0, 0] = 5.0
+    axes = [np.linspace(a, b, 9) for a, b in zip(grid.lo, grid.hi)]
+    fresh = np.stack([g.ravel() for g in np.meshgrid(*axes, indexing="ij")], axis=-1)
+    assert np.array_equal(mesh, fresh)
+    trapezoid = [np.diff(a).mean() * np.r_[0.5, np.ones(7), 0.5] for a in axes]
+    assert np.allclose(weights, np.prod(np.meshgrid(*trapezoid, indexing="ij"), axis=0).ravel(), rtol=1e-15)
+
+
 def test_grid_integral_of_exact_uniform():
     assert grid_integral(UNIFORM_01, FINE_GRID) == pytest.approx(1.0, abs=1e-3)
 

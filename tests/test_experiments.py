@@ -215,6 +215,34 @@ def test_cli_config_error_is_reported(tmp_path, capsys):
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
     assert not (tmp_path / "no_dir").exists()
+    # A value of the wrong type is a config error, not a traceback or a silent cast.
+    for text, message in [
+        ("trials: abc\n", "trials must be int"),
+        ("d_list: 3\n", "d_list must be a list of int"),
+        ("trials: 2.7\n", "trials must be int"),
+    ]:
+        cfg.write_text(text)
+        assert main(["lemma1", "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+
+
+def test_cli_warns_when_calibration_is_capped(tmp_path, capsys, monkeypatch):
+    """A capped calibration is reported on stderr; --assert still judges the trials alone."""
+    from distreg import regression
+
+    monkeypatch.setattr(regression, "CALIBRATION_N_MAX", 32)
+    cfg = tmp_path / "capped.yaml"
+    cfg.write_text(
+        f"experiment: adaptive_regression\nseed: 3\ntrials: 4\nepsilon: 1.5\n"
+        f"calibration_trials: 5\nout_path: {tmp_path / 'capped.csv'}\n"
+    )
+    assert main(["adaptive_regression", "--config", str(cfg), "--assert"]) == 0
+    captured = capsys.readouterr()
+    summary = json.loads(captured.out)
+    assert summary["calibration_capped"] is True and summary["n"] == 32
+    assert captured.err.startswith("warning: calibration hit the n = 32 cap")
 
 
 @pytest.mark.parametrize("stem", ["calibrate", "lemma1", "small_ball", "theorem1_scaling"])

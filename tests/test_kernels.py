@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -6,8 +7,10 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import distreg as dr
+from distreg import kernels
 from distreg.density_distance import default_grid, grid_integral
 from distreg.kernels import _eval_compact_1d, _eval_dense, radial_normalizer
+from kde_reference import reference_eval, reference_normalizer, reference_profile
 
 
 def test_kernel_values_at_origin():
@@ -29,6 +32,20 @@ def test_compact_kernels_vanish_past_one(kind, u):
 def test_kernel_rejects_negative_argument():
     with pytest.raises(ValueError):
         dr.kernel_value(dr.BOXCAR, -0.1)
+    # nan is rejected too: a nan distance must not become a zero weight.
+    for kernel in dr.KERNELS.values():
+        with pytest.raises(ValueError):
+            dr.kernel_value(kernel, math.nan)
+        with pytest.raises(ValueError):
+            kernel.profile([0.5, math.nan])
+
+
+@pytest.mark.parametrize("kind", list(dr.KERNELS))
+def test_profile_matches_reference_formula(kind):
+    u = np.concatenate([np.linspace(0.0, 6.0, 6001), [np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0), 1e300, np.inf]])
+    with np.errstate(over="ignore"):
+        assert np.array_equal(dr.KERNELS[kind].profile(u), reference_profile(kind, u))
+        assert dr.kernel_value(dr.KERNELS[kind], 1.0) == float(reference_profile(kind, 1.0))
 
 
 @pytest.mark.parametrize("kind", list(dr.KERNELS))
@@ -49,6 +66,12 @@ def test_radial_normalizer_matches_closed_forms(dim):
     }
     for kind, value in expected.items():
         assert radial_normalizer(kind, dim) == pytest.approx(value, rel=1e-9)
+
+
+def test_radial_normalizer_equals_reference():
+    for kind in dr.KERNELS:
+        for dim in (1, 2, 3):
+            assert radial_normalizer(kind, dim) == reference_normalizer(kind, dim), (kind, dim)
 
 
 def test_kde_build_single_boxcar_bump():
@@ -161,15 +184,74 @@ def test_compact_support_is_exact():
         assert dr.kde_eval(est, [x.min() - b - 1e-9]) == 0.0
 
 
+def _queries_around(est, rng, count):
+    """Random queries over the padded support box, its corners, and points one bandwidth from a sample."""
+    lo, hi = est.support_box()
+    b = est.bandwidth
+    corners = np.where(rng.random((4, est.dim)) < 0.5, lo, hi)
+    step = np.zeros((4, est.dim))
+    step[np.arange(4), rng.integers(0, est.dim, size=4)] = [b, -b, b, -b]
+    one_bandwidth = est.points[rng.integers(0, est.count, size=4)] + step
+    spread = rng.uniform(lo - 2 * b, hi + 2 * b, size=(count, est.dim))
+    return np.concatenate([corners, one_bandwidth, spread])
+
+
+@given(
+    kind=st.sampled_from(list(dr.KERNELS)),
+    dim=st.integers(1, 3),
+    n=st.integers(1, 300),
+    centre=st.sampled_from([0.0, 3.0, -1e3, 1e6, -1e6]),
+    small_blocks=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_dense_path_equals_reference_bit_for_bit(kind, dim, n, centre, small_blocks, seed):
+    """Tiles and the skipped rows outside a compact support change no bit of any value.
+
+    With small_blocks the sample-block cap is shrunk so that a few hundred
+    queries already split the samples into many blocks.
+    """
+    rng = np.random.default_rng(seed)
+    points = centre + rng.normal(0.0, rng.uniform(0.1, 3.0), size=(n, dim))
+    est = dr.kde_build(points, float(rng.uniform(0.05, 2.0)), dr.KERNELS[kind])
+    x = _queries_around(est, rng, int(rng.integers(0, 400)))
+    block_elements = 2_000 if small_blocks else kernels._BLOCK_ELEMENTS
+    with mock.patch.object(kernels, "_BLOCK_ELEMENTS", block_elements):
+        expected = reference_eval(est, x)
+        assert np.array_equal(_eval_dense(est, x), expected)
+        if dim > 1 or kind == "gaussian":  # kde_eval_many's dense cases
+            assert np.array_equal(dr.kde_eval_many(est, x), expected)
+
+
+def test_dense_path_equals_reference_over_several_full_blocks():
+    rng = np.random.default_rng(5)
+    for kind, dim in (("epanechnikov", 2), ("boxcar", 3)):
+        points = rng.normal(0.0, 1.0, size=(900, dim))
+        est = dr.kde_build(points, 0.4, dr.KERNELS[kind])
+        x = _queries_around(est, rng, 4_500 - 8)
+        assert kernels._BLOCK_ELEMENTS // x.shape[0] < est.count  # two sample blocks
+        assert np.array_equal(dr.kde_eval_many(est, x), reference_eval(est, x))
+
+
 def test_fast_path_matches_dense_path():
     rng = np.random.default_rng(4)
     for kind in ("boxcar", "epanechnikov"):
         x = rng.normal(4.0, 1.3, size=(500, 1))
         est = dr.kde_build(x, dr.select_bandwidth(x), dr.KERNELS[kind])
         q = rng.uniform(0, 8, size=(800, 1))
-        fast = _eval_compact_1d(est, q)
-        dense = _eval_dense(est, q)
-        assert np.allclose(fast, dense, rtol=1e-9, atol=1e-12)
+        assert np.allclose(_eval_compact_1d(est, q), reference_eval(est, q), rtol=1e-9, atol=1e-12)
+    # The prefix sums are not exact: their window differences cancel.  The
+    # error is pinned at offset 1e6 with 200k samples, where it measured
+    # 1.7e-11 of the peak, and 3.7e-10 relative where the density is above
+    # 1e-3 of its peak.
+    x = rng.normal(1e6, 1.3, size=(200_000, 1))
+    est = dr.kde_build(x, dr.select_bandwidth(x), dr.EPANECHNIKOV)
+    q = rng.uniform(1e6 - 6, 1e6 + 6, size=(100, 1))
+    fast, dense = _eval_compact_1d(est, q), reference_eval(est, q)
+    peak = dense.max()
+    assert np.abs(fast - dense).max() <= 5e-11 * peak
+    high = dense > 1e-3 * peak
+    assert np.all(np.abs(fast - dense)[high] <= 1e-9 * dense[high])
 
 
 def test_select_bandwidth_floor_on_degenerate_samples():
