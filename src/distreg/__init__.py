@@ -13,6 +13,7 @@ from .kernels import (
     kde_build,
     kde_eval,
     kde_eval_many,
+    kde_fit,
     kernel_value,
     select_bandwidth,
 )

@@ -10,7 +10,7 @@ from pathlib import Path
 import yaml
 
 from .experiments import DEFAULTS, EXPERIMENTS, ConfigError, ExperimentConfig, MetaConfig
-from .experiments import parse_config, run_experiment, summary_line
+from .experiments import parse_config, run_experiment, summary_line, worker_count
 
 
 def _defaults_epilog() -> str:
@@ -20,7 +20,7 @@ def _defaults_epilog() -> str:
     lines = ["per-experiment defaults (override in the config file):"]
     lines += [f"  {name}: {flow(DEFAULTS[name])}" for name in EXPERIMENTS]
     lines.append(f"meta defaults (the config's meta mapping): {flow(asdict(MetaConfig()))}")
-    lines.append("environment: DISTREG_THREADS caps trial-loop workers (default 1)")
+    lines.append("environment: DISTREG_THREADS sets the trial-loop workers, a positive integer (default 1)")
     return "\n".join(lines)
 
 
@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _load(args: argparse.Namespace) -> ExperimentConfig:
-    """The config with the CLI overrides applied; every path is checked before any work."""
+    """The config with the CLI overrides applied; every path and setting is checked before any work."""
+    worker_count()
     try:
         text = Path(args.config).read_text() if args.config else ""
     except OSError as exc:

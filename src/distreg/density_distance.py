@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -13,9 +14,11 @@ __all__ = [
     "GridSpec",
     "GridCoverageError",
     "default_points_per_axis",
+    "box_grid",
     "default_grid",
     "grid_values",
     "grid_integral",
+    "l1_from_values",
     "l1_distance",
 ]
 
@@ -47,8 +50,8 @@ class GridSpec:
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or not 1 <= len(lo) <= 3:
             raise ValueError("lo and hi must have equal length, 1 <= dim <= 3")
-        if not all(a < b for a, b in zip(lo, hi)):
-            raise ValueError("grid requires lo < hi componentwise")
+        if not all(-math.inf < a < b < math.inf for a, b in zip(lo, hi)):
+            raise ValueError("grid requires finite lo < hi componentwise")
         if self.points_per_axis < 2:
             raise ValueError("points_per_axis must be >= 2")
 
@@ -94,11 +97,13 @@ def _read_only(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def default_grid(
-    *estimates: DensityEstimate,
-    pad_bandwidths: float = 3.0,
-    points_per_axis: int | None = None,
-) -> GridSpec:
+def box_grid(lo, hi, pad: float) -> GridSpec:
+    """Grid over the box [lo - pad, hi + pad] at the default points per axis."""
+    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    return GridSpec(lo=tuple(lo - pad), hi=tuple(hi + pad), points_per_axis=default_points_per_axis(lo.size))
+
+
+def default_grid(*estimates: DensityEstimate) -> GridSpec:
     """Union bounding box of the estimates' samples, padded by 3 bandwidths."""
     if not estimates:
         raise ValueError("default_grid needs at least one estimate")
@@ -107,27 +112,19 @@ def default_grid(
         raise ValueError("estimates must share a dimension")
     lo = np.min([e.points.min(axis=0) for e in estimates], axis=0)
     hi = np.max([e.points.max(axis=0) for e in estimates], axis=0)
-    pad = pad_bandwidths * max(e.bandwidth for e in estimates)
-    if points_per_axis is None:
-        points_per_axis = default_points_per_axis(dim)
-    return GridSpec(lo=tuple(lo - pad), hi=tuple(hi + pad), points_per_axis=points_per_axis)
-
-
-def _check_coverage(est: DensityEstimate, grid: GridSpec) -> None:
-    if not np.isfinite(est.kernel.support_radius):
-        return
-    lo, hi = est.support_box()
-    glo, ghi = np.asarray(grid.lo), np.asarray(grid.hi)
-    if np.any(lo < glo) or np.any(hi > ghi):
-        raise GridCoverageError(
-            f"compact support [{lo}, {hi}] escapes grid [{grid.lo}, {grid.hi}]"
-        )
+    return box_grid(lo, hi, 3.0 * max(e.bandwidth for e in estimates))
 
 
 def grid_values(est: DensityEstimate, grid: GridSpec) -> np.ndarray:
-    """Density values at every grid node (flattened, C order)."""
+    """Density at every grid node (flattened, C order); GridCoverageError if a compact support escapes."""
     if est.dim != grid.dim:
         raise ValueError("estimate and grid dimensions differ")
+    if math.isfinite(est.kernel.support_radius):
+        lo, hi = est.support_box()
+        if np.any(lo < grid.lo) or np.any(hi > grid.hi):
+            raise GridCoverageError(
+                f"compact support [{lo}, {hi}] escapes grid [{grid.lo}, {grid.hi}]"
+            )
     return kde_eval_many(est, grid.mesh())
 
 
@@ -136,8 +133,9 @@ def grid_integral(est: DensityEstimate, grid: GridSpec) -> float:
     return float(grid.quadrature_weights() @ grid_values(est, grid))
 
 
-def _l1_from_values(pv: np.ndarray, qv: np.ndarray, weights: np.ndarray) -> float:
-    return float(weights @ np.abs(pv - qv))
+def l1_from_values(pv: np.ndarray, qv: np.ndarray, grid: GridSpec) -> float:
+    """Trapezoid integral of |pv - qv| for two grid_values arrays of the same grid."""
+    return float(grid.quadrature_weights() @ np.abs(pv - qv))
 
 
 def l1_distance(p: DensityEstimate, q: DensityEstimate, grid: GridSpec) -> float:
@@ -147,10 +145,4 @@ def l1_distance(p: DensityEstimate, q: DensityEstimate, grid: GridSpec) -> float
     error for normalized densities.  Raises GridCoverageError if a
     compact-support estimate is not contained in the grid.
     """
-    if p.dim != q.dim or p.dim != grid.dim:
-        raise ValueError("estimates and grid must share a dimension")
-    _check_coverage(p, grid)
-    _check_coverage(q, grid)
-    return _l1_from_values(
-        grid_values(p, grid), grid_values(q, grid), grid.quadrature_weights()
-    )
+    return l1_from_values(grid_values(p, grid), grid_values(q, grid), grid)

@@ -11,14 +11,14 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Any, Callable, get_args, get_type_hints
 
 import numpy as np
 import yaml
 
 from . import __version__
-from .kernels import KERNELS, KernelSpec, kde_build, select_bandwidth
+from .kernels import KERNELS, KernelSpec, kde_fit
 from .meta_world import MetaDistribution, draw_distribution, draw_samples, make_box_meta, oracle_label
 from .regression import (
     adaptive_closest_point,
@@ -43,6 +43,7 @@ __all__ = [
     "RunReport",
     "EXPERIMENTS",
     "parse_config",
+    "worker_count",
     "serialize_config",
     "run_experiment",
 ]
@@ -84,12 +85,10 @@ class ExperimentConfig:
     m_list: list[int] | None = None
     i_max: int | None = None
     epsilon: float | None = None
-    lipschitz: float | None = None
     n: int | None = None
     h: float | None = None
     m: int | None = None
     kernel: str | None = None
-    points_per_axis: int | None = None
     target_err: float | None = None
     confidence: float | None = None
     max_iter: int | None = None
@@ -134,7 +133,18 @@ def _type_error(key: str, value: Any, hint: Any) -> str | None:
     return None if ok else f"{key} must be {expected.__name__}, got {value!r}"
 
 
-_FIELD_TYPES = get_type_hints(ExperimentConfig)
+def _known_values(cls: type, raw: dict, what: str) -> dict[str, Any]:
+    """raw without its nulls (a null keeps the default); each key a field of cls, each value of its type."""
+    hints = get_type_hints(cls)
+    unknown = set(raw) - set(hints)
+    if unknown:
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
+    values = {key: value for key, value in raw.items() if value is not None}
+    for key, value in values.items():
+        problem = _type_error(key, value, hints[key])
+        if problem:
+            raise ConfigError(f"invalid {what}: {problem}")
+    return values
 
 
 def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
@@ -150,10 +160,6 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     if not isinstance(raw, dict):
         raise ConfigError("config must be a mapping of keys to values")
 
-    unknown = set(raw) - {f.name for f in fields(ExperimentConfig)}
-    if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-
     doc_experiment = raw.pop("experiment", None)
     if doc_experiment is None and experiment is None:
         raise ConfigError("missing required field: experiment")
@@ -168,19 +174,9 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     meta_raw = raw.pop("meta", {}) or {}
     if not isinstance(meta_raw, dict):
         raise ConfigError("meta must be a mapping")
-    unknown = set(meta_raw) - {f.name for f in fields(MetaConfig)}
-    if unknown:
-        raise ConfigError(f"unknown meta keys: {sorted(unknown)}")
-
-    merged: dict[str, Any] = dict(DEFAULTS[name])
-    merged.update((key, value) for key, value in raw.items() if value is not None)  # null keeps the default
-    for key, value in merged.items():
-        problem = _type_error(key, value, _FIELD_TYPES[key])
-        if problem:
-            raise ConfigError(problem)
-
+    merged = {**DEFAULTS[name], **_known_values(ExperimentConfig, raw, "config")}
     try:
-        meta = MetaConfig(**meta_raw)
+        meta = MetaConfig(**_known_values(MetaConfig, meta_raw, "meta"))
         meta.build()  # validate eagerly
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"invalid meta description: {exc}") from exc
@@ -228,15 +224,16 @@ def _write_csv(path: str, header: str, rows: list[tuple]) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def _worker_count() -> int:
-    try:
-        return max(1, int(os.environ.get("DISTREG_THREADS", "1")))
-    except ValueError:
-        return 1
+def worker_count() -> int:
+    """Trial-loop workers from DISTREG_THREADS: a positive integer, 1 when unset."""
+    text = os.environ.get("DISTREG_THREADS", "1")
+    if not text.isdecimal() or int(text) < 1:
+        raise ConfigError(f"DISTREG_THREADS must be a positive integer, got {text!r}")
+    return int(text)
 
 
 def _map_trials(fn: Callable[[int], tuple], count: int) -> list[tuple]:
-    workers = _worker_count()
+    workers = worker_count()
     if workers == 1:
         return [fn(t) for t in range(count)]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -313,7 +310,7 @@ def _calibrate(
     config: ExperimentConfig, meta: MetaDistribution, target_err: float, trials: int, kernel: KernelSpec
 ):
     """calibrate_sample_size on the family grid, with the config's confidence and seed."""
-    grid = family_grid(meta, 16, points_per_axis=config.points_per_axis)
+    grid = family_grid(meta, 16)
     return calibrate_sample_size(
         meta, target_err, config.confidence, _rng(config.seed, 0), grid, trials=trials, kernel=kernel
     )
@@ -322,14 +319,14 @@ def _calibrate(
 def _run_adaptive_regression(config: ExperimentConfig):
     header = "trial,label,truth,abs_err,iterations,samples_drawn,converged"
     meta = config.meta.build()
-    lipschitz = config.lipschitz if config.lipschitz is not None else meta.lipschitz_const
+    lipschitz = meta.lipschitz_const
     epsilon = config.epsilon
     kernel = KERNELS[config.kernel]
     n, calibration = config.n, None
     if n is None:
         calibration = _calibrate(config, meta, epsilon / (9.0 * lipschitz), config.calibration_trials, kernel)
         n = calibration.n
-    grid = family_grid(meta, min(n, 16), points_per_axis=config.points_per_axis)
+    grid = family_grid(meta, min(n, 16))
     max_iter = config.max_iter or default_max_iter(epsilon, lipschitz, meta.dim)
 
     def one_trial(t: int) -> tuple:
@@ -359,14 +356,14 @@ def _run_kernel_kernel_baseline(config: ExperimentConfig):
     header = "trial,estimate,truth,abs_err,m,n"
     meta = config.meta.build()
     kernel = KERNELS[config.kernel]
-    grid = family_grid(meta, min(config.n, 16), points_per_axis=config.points_per_axis)
+    grid = family_grid(meta, min(config.n, 16))
 
     def one_trial(t: int) -> tuple:
         rng = _rng(config.seed, 1, t)
         dataset = draw_labeled_dataset(meta, config.m, config.n, rng, kernel)
         target = draw_distribution(meta, rng)
         samples = draw_samples(meta, target, config.n, rng)
-        query = kde_build(samples, select_bandwidth(samples), kernel)
+        query = kde_fit(samples, kernel)
         pred = kernel_kernel_estimate(dataset, query, config.h, kernel, grid)
         truth = oracle_label(meta, target)
         return (t, pred, truth, abs(pred - truth), config.m, config.n)

@@ -26,8 +26,10 @@ __all__ = [
     "radial_normalizer",
     "DensityEstimate",
     "kde_build",
+    "kde_fit",
     "kde_eval",
     "kde_eval_many",
+    "plug_in_bandwidth",
     "select_bandwidth",
 ]
 
@@ -287,6 +289,8 @@ def kde_eval_many(est: DensityEstimate, x) -> np.ndarray:
         x = x[:, None]
     if x.ndim != 2 or x.shape[1] != est.dim:
         raise ValueError(f"query points must have dimension {est.dim}")
+    if not np.isfinite(x).all():
+        raise ValueError("query points contain non-finite values (nan or inf)")
     if est.dim == 1 and est.kernel.kind in ("boxcar", "epanechnikov"):
         return _eval_compact_1d(est, x)
     return _eval_dense(est, x)
@@ -300,15 +304,21 @@ def kde_eval(est: DensityEstimate, x) -> float:
     return float(kde_eval_many(est, x[None, :])[0])
 
 
-def select_bandwidth(samples, min_bandwidth: float = 1e-3) -> float:
-    """Plug-in bandwidth: mean per-coordinate spread times n^(-1/(4+k)).
+def plug_in_bandwidth(spread: float, n: int, dim: int) -> float:
+    """Plug-in rule: spread times n^(-1/(4+dim)), floored at 1e-3 so degenerate samples stay usable."""
+    return max(spread * n ** (-1.0 / (4 + dim)), 1e-3)
 
-    Spread is the population (ddof=0) standard deviation averaged over
-    coordinates, floored at min_bandwidth so degenerate samples stay usable.
-    """
+
+def select_bandwidth(samples) -> float:
+    """plug_in_bandwidth at the samples' spread: the population (ddof=0) std averaged over coordinates."""
     pts = _as_points(samples)
     n, k = pts.shape
     if n < 2:
         raise ValueError("bandwidth selection needs at least 2 samples")
     sigma = float(pts.std(axis=0, ddof=0).mean())
-    return max(sigma * n ** (-1.0 / (4 + k)), min_bandwidth)
+    return plug_in_bandwidth(sigma, n, k)
+
+
+def kde_fit(samples, kernel: KernelSpec) -> DensityEstimate:
+    """Density estimate of the samples at their plug-in bandwidth."""
+    return kde_build(samples, select_bandwidth(samples), kernel)

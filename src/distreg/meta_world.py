@@ -68,8 +68,8 @@ class MetaDistribution:
             raise ValueError(f"unknown label_fn: {self.label_fn!r}")
         if len(lo) != len(hi) or len(lo) < 1:
             raise ValueError("lo and hi must be equal-length, dim >= 1")
-        if any(a > b for a, b in zip(lo, hi)):
-            raise ValueError("parameter box requires lo <= hi componentwise")
+        if not all(-np.inf < a <= b < np.inf for a, b in zip(lo, hi)):
+            raise ValueError("parameter box requires finite lo <= hi componentwise")
         if not self.base_width > 0:
             raise ValueError("base_width must be positive")
         if not self.lipschitz_const > 0:

@@ -23,18 +23,18 @@ from scipy.stats import norm
 
 from .density_distance import (
     GridSpec,
-    _l1_from_values,
-    default_points_per_axis,
+    box_grid,
     grid_values,
     l1_distance,
+    l1_from_values,
 )
 from .kernels import (
     EPANECHNIKOV,
     DensityEstimate,
     KernelSpec,
-    kde_build,
+    kde_fit,
     kernel_value,
-    select_bandwidth,
+    plug_in_bandwidth,
 )
 from .meta_world import (
     DistributionHandle,
@@ -112,8 +112,6 @@ def kernel_kernel_estimate(
         raise ValueError("dataset must be non-empty")
     if not h > 0:
         raise ValueError("h must be positive")
-    if any(item.estimate.dim != query.dim for item in dataset):
-        raise ValueError("dataset and query estimates must share a dimension")
     num = 0.0
     den = 0.0
     for item in dataset:
@@ -128,38 +126,18 @@ def default_max_iter(epsilon: float, lipschitz: float, dim: int) -> int:
     return math.ceil(10.0 * (6.0 * lipschitz / epsilon) ** dim)
 
 
-def _member_bandwidth_cap(meta: MetaDistribution, n: int) -> float:
-    # Hard spread bound for uniform members; generous tail bound for gaussian.
-    sigma_cap = meta.base_width / 2.0 if meta.family == "uniform_location" else 3.0 * meta.base_width
-    return max(sigma_cap * n ** (-1.0 / (4 + meta.dim)), 1e-3)
-
-
-def family_grid(
-    meta: MetaDistribution, n: int, points_per_axis: int | None = None
-) -> GridSpec:
+def family_grid(meta: MetaDistribution, n: int) -> GridSpec:
     """Quadrature grid covering every member's samples at sample size n.
 
     Uniform members are contained exactly; gaussian members are covered out
-    to eight standard deviations, ample for any realistic draw count.
+    to eight standard deviations, ample for any realistic draw count.  The pad
+    adds three plug-in bandwidths at the largest member spread, so that holds
+    for the estimates too, at n or more samples.
     """
-    lo = np.asarray(meta.lo)
-    hi = np.asarray(meta.hi)
+    # Hard spread bound for uniform members; generous tail bound for gaussian.
+    sigma_cap = meta.base_width / 2.0 if meta.family == "uniform_location" else 3.0 * meta.base_width
     reach = meta.base_width / 2.0 if meta.family == "uniform_location" else 8.0 * meta.base_width
-    pad = reach + 3.0 * _member_bandwidth_cap(meta, n)
-    if points_per_axis is None:
-        points_per_axis = default_points_per_axis(meta.dim)
-    return GridSpec(lo=tuple(lo - pad), hi=tuple(hi + pad), points_per_axis=points_per_axis)
-
-
-def _estimate_member(
-    meta: MetaDistribution,
-    handle: DistributionHandle,
-    n: int,
-    rng: np.random.Generator,
-    kernel: KernelSpec,
-) -> DensityEstimate:
-    samples = draw_samples(meta, handle, n, rng)
-    return kde_build(samples, select_bandwidth(samples), kernel)
+    return box_grid(meta.lo, meta.hi, reach + 3.0 * plug_in_bandwidth(sigma_cap, n, meta.dim))
 
 
 def draw_labeled_dataset(
@@ -175,7 +153,7 @@ def draw_labeled_dataset(
         handle = draw_distribution(meta, rng)
         dataset.append(
             LabeledEstimate(
-                estimate=_estimate_member(meta, handle, n, rng, kernel),
+                estimate=kde_fit(draw_samples(meta, handle, n, rng), kernel),
                 label=oracle_label(meta, handle),
                 handle=handle,
             )
@@ -200,24 +178,24 @@ def adaptive_closest_point(
     draws a member, samples n points, estimates it, and accepts on the first
     distance at or below the threshold, returning that member's oracle label.
     Hitting max_iter returns the closest candidate seen with converged False.
+    A compact-support target or candidate outside the grid raises GridCoverageError.
     """
     if not epsilon > 0 or not lipschitz > 0:
         raise ValueError("epsilon and lipschitz must be positive")
     if n < 1 or max_iter < 1:
         raise ValueError("n and max_iter must be >= 1")
-    target = kde_build(target_samples, select_bandwidth(target_samples), kernel)
+    target = kde_fit(target_samples, kernel)
     if target.dim != meta.dim:
         raise ValueError("target samples must match the meta-distribution dimension")
     threshold = epsilon / (3.0 * lipschitz)
-    weights = grid.quadrature_weights()
     target_values = grid_values(target, grid)
 
     best_label = math.nan
     best_distance = math.inf
     for i in range(1, max_iter + 1):
         handle = draw_distribution(meta, rng)
-        candidate = _estimate_member(meta, handle, n, rng, kernel)
-        distance = _l1_from_values(grid_values(candidate, grid), target_values, weights)
+        candidate = kde_fit(draw_samples(meta, handle, n, rng), kernel)
+        distance = l1_from_values(grid_values(candidate, grid), target_values, grid)
         if distance <= threshold:
             return AdaptiveResult(
                 label=oracle_label(meta, handle),
@@ -277,8 +255,8 @@ def calibrate_sample_size(
         dists = np.empty(trials)
         for t in range(trials):
             handle = draw_distribution(meta, rng)
-            est = _estimate_member(meta, handle, n, rng, kernel)
-            ref = _estimate_member(meta, handle, 16 * n, rng, kernel)
+            est = kde_fit(draw_samples(meta, handle, n, rng), kernel)
+            ref = kde_fit(draw_samples(meta, handle, 16 * n, rng), kernel)
             dists[t] = l1_distance(est, ref, grid)
         mean = float(dists.mean())
         stderr = float(dists.std(ddof=1) / math.sqrt(trials))

@@ -81,6 +81,9 @@ def test_coverage_error_for_escaping_compact_support():
     # gaussian tails may escape without error
     far_gaussian = dr.kde_build([[6.0]], 0.5, dr.GAUSSIAN)
     l1_distance(dr.kde_build([[0.5]], 0.5, dr.GAUSSIAN), far_gaussian, FINE_GRID)
+    # every grid evaluation of a compact estimate is checked, the integral too
+    with pytest.raises(GridCoverageError):
+        grid_integral(outside, FINE_GRID)
 
 
 def test_default_grid_pads_three_bandwidths():
@@ -105,6 +108,9 @@ def test_grid_validation():
         GridSpec(lo=(0.0, 0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0, 1.0), points_per_axis=8)
     with pytest.raises(ValueError):
         GridSpec(lo=(0.0,), hi=(1.0,), points_per_axis=1)
+    for lo, hi in [((-np.inf,), (0.0,)), ((0.0,), (np.inf,)), ((np.nan,), (0.0,)), ((0.0, -np.inf), (1.0, 1.0))]:
+        with pytest.raises(ValueError, match="finite"):
+            GridSpec(lo=lo, hi=hi, points_per_axis=8)
 
 
 def test_quadrature_weights_sum_to_volume():

@@ -197,7 +197,7 @@ def test_cli_rejects_unknown_experiment():
         main(["nope"])
 
 
-def test_cli_config_error_is_reported(tmp_path, capsys):
+def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
     cfg = tmp_path / "bad.yaml"
     cfg.write_text("trials: 0\n")
     code = main(["lemma1", "--config", str(cfg)])
@@ -220,12 +220,23 @@ def test_cli_config_error_is_reported(tmp_path, capsys):
         ("trials: abc\n", "trials must be int"),
         ("d_list: 3\n", "d_list must be a list of int"),
         ("trials: 2.7\n", "trials must be int"),
+        ("meta: {dim: true}\n", "dim must be int"),
+        ("meta: {lo: '0'}\n", "lo must be float"),
+        ("meta: {dim: 2.0}\n", "dim must be int"),
+        ("meta: {lo: .nan}\n", "finite lo <= hi"),
     ]:
         cfg.write_text(text)
         assert main(["lemma1", "--config", str(cfg)]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
+    # A worker count that is not a positive integer is an error, not one silent worker.
+    for threads in ["abc", "0", "-3"]:
+        monkeypatch.setenv("DISTREG_THREADS", threads)
+        assert main(["lemma1", "--out", str(tmp_path / "threads.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: DISTREG_THREADS") and captured.out == ""
+    assert not (tmp_path / "threads.csv").exists()
 
 
 def test_cli_warns_when_calibration_is_capped(tmp_path, capsys, monkeypatch):

@@ -116,6 +116,18 @@ def test_kde_build_errors():
             dr.kde_build([[0.0], [bad], [1.0]], 0.5, dr.EPANECHNIKOV)
 
 
+@pytest.mark.parametrize("kind", list(dr.KERNELS))
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_kde_eval_many_rejects_non_finite_queries(kind, dim, bad):
+    """nan or inf queries used to give nan or 0.0 depending on the kernel and path."""
+    est = dr.kde_build(np.linspace(0.0, 1.0, 3 * dim).reshape(3, dim), 1.0, dr.KERNELS[kind])
+    x = np.full((2, dim), 0.5)
+    x[1, -1] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        dr.kde_eval_many(est, x)
+
+
 def test_kde_eval_dimension_mismatch():
     est = dr.kde_build([[0.0, 0.0]], 1.0, dr.GAUSSIAN)
     with pytest.raises(ValueError):

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import distreg as dr
-from distreg.density_distance import l1_distance
+from distreg.density_distance import GridCoverageError, l1_distance
 from distreg.regression import (
     UnreachableTargetError,
     calibrate_sample_size,
@@ -137,6 +138,18 @@ def test_adaptive_max_iter_fallback_returns_best_seen():
     assert np.isfinite(result.label) and np.isfinite(result.accepted_distance)
 
 
+def test_adaptive_rejects_a_grid_that_misses_a_compact_support():
+    """The acceptance distance is only sound on a grid that holds both supports."""
+    narrow = dr.GridSpec(lo=(0.2,), hi=(0.8,), points_per_axis=256)
+    rng = np.random.default_rng(37)
+    target = dr.draw_samples(META_1D, dr.draw_distribution(META_1D, rng), 256, rng)
+    with pytest.raises(GridCoverageError):  # the target escapes
+        dr.adaptive_closest_point(META_1D, target, 6.0, 1.0, 64, 10, rng, narrow)
+    inside = [[0.45], [0.5], [0.55]]
+    with pytest.raises(GridCoverageError):  # the target fits, every candidate escapes
+        dr.adaptive_closest_point(META_1D, inside, 6.0, 1.0, 64, 10, rng, narrow)
+
+
 def test_adaptive_parameter_validation():
     target = [[0.5]]
     with pytest.raises(ValueError):
@@ -163,6 +176,26 @@ def test_family_grid_covers_member_estimates():
             samples = dr.draw_samples(META_1D, handle, n, rng)
             est = dr.kde_build(samples, dr.select_bandwidth(samples), dr.EPANECHNIKOV)
             l1_distance(est, est, grid)  # raises GridCoverageError on escape
+
+
+@given(
+    dim=st.integers(1, 3),
+    n=st.integers(2, 4096),
+    lo=st.floats(-100.0, 100.0),
+    side=st.floats(0.0, 1.0),
+    base_width=st.floats(1e-3, 10.0),
+    kind=st.sampled_from(list(dr.KERNELS)),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=60, deadline=None)
+def test_family_grid_contains_every_uniform_member_estimate(dim, n, lo, side, base_width, kind, seed):
+    """family_grid pads by the plug-in rule at the largest spread a uniform member can have."""
+    meta = dr.make_box_meta(dim, lo=lo, hi=lo + side, base_width=base_width)
+    rng = np.random.default_rng(seed)
+    samples = dr.draw_samples(meta, dr.draw_distribution(meta, rng), n, rng)
+    low, high = dr.kde_fit(samples, dr.KERNELS[kind]).support_box()
+    grid = family_grid(meta, n)
+    assert np.all(low >= grid.lo) and np.all(high <= grid.hi)
 
 
 def test_calibrate_trivial_target_takes_first_candidate():
