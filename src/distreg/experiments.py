@@ -18,6 +18,7 @@ import numpy as np
 import yaml
 
 from . import __version__
+from .density_distance import default_points_per_axis
 from .kernels import KERNELS, KernelSpec, kde_fit
 from .meta_world import MetaDistribution, draw_distribution, draw_samples, make_box_meta, oracle_label
 from .regression import (
@@ -175,20 +176,38 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     if not isinstance(meta_raw, dict):
         raise ConfigError("meta must be a mapping")
     merged = {**DEFAULTS[name], **_known_values(ExperimentConfig, raw, "config")}
-    try:
-        meta = MetaConfig(**_known_values(MetaConfig, meta_raw, "meta"))
-        meta.build()  # validate eagerly
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid meta description: {exc}") from exc
-
+    meta = MetaConfig(**_known_values(MetaConfig, meta_raw, "meta"))
     config = ExperimentConfig(experiment=name, meta=meta, **merged)
     if not config.out_path:
         config.out_path = f"distreg_{name}.csv"
-    if config.trials < 1:
-        raise ConfigError("trials must be >= 1")
     if config.kernel is not None and config.kernel not in KERNELS:
         raise ConfigError(f"unknown kernel: {config.kernel!r}")
+    _check_ranges(config)
     return config
+
+
+# Config fields that count something: each value, or each entry of a list, must be >= 1.
+_COUNT_FIELDS = ("trials", "d_list", "m_list", "i_max", "n", "m", "max_iter", "calibration_trials")
+
+
+def _check_ranges(config: ExperimentConfig) -> None:
+    """Reject counts below 1, and build each meta and grid size the run will, before any work."""
+    for key in _COUNT_FIELDS:
+        value = getattr(config, key)
+        if isinstance(value, list) and (not value or min(value) < 1):
+            raise ConfigError(f"{key} must be a non-empty list of ints >= 1, got {value!r}")
+        if isinstance(value, int) and value < 1:
+            raise ConfigError(f"{key} must be >= 1, got {value!r}")
+    # The theory sweeps build one meta per entry of d_list; the estimator experiments build
+    # the configured meta and a quadrature grid in its dimension.
+    sweep = "d_list" in DEFAULTS[config.experiment]
+    try:
+        for dim in config.d_list if sweep else [None]:
+            meta = config.meta.build(dim=dim)
+        if not sweep:
+            default_points_per_axis(meta.dim)
+    except ValueError as exc:
+        raise ConfigError(f"invalid meta description: {exc}") from exc
 
 
 def serialize_config(config: ExperimentConfig) -> str:

@@ -124,7 +124,8 @@ def radial_normalizer(kind: str, dim: int) -> float:
 class DensityEstimate:
     """A kernel density estimate: sample points, bandwidth, kernel, dimension.
 
-    Treat as immutable; evaluation is pure and thread-safe.
+    Treat as immutable; evaluation is thread-safe, and the only state it
+    keeps is the memo of the last evaluation on an immutable query array.
     """
 
     points: np.ndarray
@@ -148,6 +149,12 @@ class DensityEstimate:
     @cached_property
     def _sorted_1d(self) -> np.ndarray:
         return np.sort(self.points[:, 0])
+
+    @cached_property
+    def _last_eval(self) -> list:
+        # One slot holding (query array, read-only values) of the last memoised
+        # evaluation; kde_eval_many replaces the whole pair in one assignment.
+        return [None]
 
     @cached_property
     def _center_1d(self) -> float:
@@ -282,9 +289,22 @@ def _eval_compact_1d(est: DensityEstimate, x: np.ndarray) -> np.ndarray:
     return 0.75 * np.maximum(acc, 0.0) * scale
 
 
+def _immutable(x: np.ndarray) -> bool:
+    # A read-only array that owns its data: no writable view or base can change it.
+    return not x.flags.writeable and x.base is None
+
+
 def kde_eval_many(est: DensityEstimate, x) -> np.ndarray:
-    """Evaluate the estimate at an (m, dim) array of query points."""
+    """Evaluate the estimate at an (m, dim) array of query points.
+
+    A repeat call with the same read-only, data-owning query array (such as
+    ``GridSpec.mesh()``) copies the estimate's last result instead of
+    recomputing it; the returned array is always fresh and writable.
+    """
     x = np.asarray(x, dtype=float)
+    last = est._last_eval[0]
+    if last is not None and last[0] is x and _immutable(x):
+        return last[1].copy()
     if x.ndim == 1:
         x = x[:, None]
     if x.ndim != 2 or x.shape[1] != est.dim:
@@ -292,8 +312,14 @@ def kde_eval_many(est: DensityEstimate, x) -> np.ndarray:
     if not np.isfinite(x).all():
         raise ValueError("query points contain non-finite values (nan or inf)")
     if est.dim == 1 and est.kernel.kind in ("boxcar", "epanechnikov"):
-        return _eval_compact_1d(est, x)
-    return _eval_dense(est, x)
+        values = _eval_compact_1d(est, x)
+    else:
+        values = _eval_dense(est, x)
+    if _immutable(x):
+        kept = values.copy()
+        kept.flags.writeable = False
+        est._last_eval[0] = (x, kept)
+    return values
 
 
 def kde_eval(est: DensityEstimate, x) -> float:

@@ -230,6 +230,22 @@ def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.err.startswith("error: ") and message in captured.err
         assert captured.out == ""
+    # An out-of-range value is a config error before any work, not a traceback from inside the run.
+    for experiment, text, message in [
+        ("adaptive_regression", "meta: {dim: 4}\n", "dim <= 3 only"),
+        ("kernel_kernel_baseline", "meta: {dim: 4}\n", "dim <= 3 only"),
+        ("small_ball", "d_list: [0]\n", "d_list must be a non-empty list of ints >= 1"),
+        ("theorem1_scaling", "d_list: []\n", "d_list must be a non-empty list of ints >= 1"),
+        ("lemma1", "m_list: [0, 4]\n", "m_list must be a non-empty list of ints >= 1"),
+        ("kernel_kernel_baseline", "m: 0\n", "m must be >= 1"),
+        ("adaptive_regression", "max_iter: -2\n", "max_iter must be >= 1"),
+    ]:
+        cfg.write_text(f"{text}out_path: {tmp_path / 'range.csv'}\n")
+        assert main([experiment, "--config", str(cfg)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: ") and message in captured.err
+        assert captured.out == ""
+    assert not (tmp_path / "range.csv").exists()
     # A worker count that is not a positive integer is an error, not one silent worker.
     for threads in ["abc", "0", "-3"]:
         monkeypatch.setenv("DISTREG_THREADS", threads)

@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 from unittest import mock
 
 import numpy as np
@@ -10,6 +12,7 @@ import distreg as dr
 from distreg import kernels
 from distreg.density_distance import default_grid, grid_integral
 from distreg.kernels import _eval_compact_1d, _eval_dense, radial_normalizer
+from distreg.regression import draw_labeled_dataset
 from kde_reference import reference_eval, reference_normalizer, reference_profile
 
 
@@ -264,6 +267,93 @@ def test_fast_path_matches_dense_path():
     assert np.abs(fast - dense).max() <= 5e-11 * peak
     high = dense > 1e-3 * peak
     assert np.all(np.abs(fast - dense)[high] <= 1e-9 * dense[high])
+
+
+def _count_dense_calls(monkeypatch) -> list[int]:
+    calls = [0]
+    dense = kernels._eval_dense
+
+    def counted(est, x):
+        calls[0] += 1
+        return dense(est, x)
+
+    monkeypatch.setattr(kernels, "_eval_dense", counted)
+    return calls
+
+
+def test_kernel_kernel_evaluates_the_query_once(monkeypatch):
+    """m members and one query on one grid: m + 1 dense evaluations, not 2m."""
+    m = 6
+    meta = dr.make_box_meta(1)
+    rng = np.random.default_rng(12)
+    dataset = draw_labeled_dataset(meta, m, 64, rng, dr.GAUSSIAN)
+    query = dr.kde_fit(dr.draw_samples(meta, dr.draw_distribution(meta, rng), 64, rng), dr.GAUSSIAN)
+    grid = dr.family_grid(meta, 16)
+    calls = _count_dense_calls(monkeypatch)
+    dr.kernel_kernel_estimate(dataset, query, 0.25, dr.GAUSSIAN, grid)
+    assert calls[0] == m + 1
+
+
+@pytest.mark.parametrize("kind", list(dr.KERNELS))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_repeat_evaluation_on_the_mesh_is_fresh_and_exact(kind, dim, monkeypatch):
+    rng = np.random.default_rng(dim)
+    est = dr.kde_build(rng.normal(0.0, 1.0, size=(40, dim)), 0.7, dr.KERNELS[kind])
+    mesh = dr.GridSpec(lo=(-4.0,) * dim, hi=(4.0,) * dim, points_per_axis=9).mesh()
+    dense = dim > 1 or kind == "gaussian"
+    expected = reference_eval(est, mesh) if dense else _eval_compact_1d(est, mesh)
+    calls = _count_dense_calls(monkeypatch)
+    first = dr.kde_eval_many(est, mesh)
+    second = dr.kde_eval_many(est, mesh)
+    assert calls[0] == (1 if dense else 0)  # the repeat is not recomputed
+    assert np.array_equal(first, expected) and np.array_equal(second, expected)
+    assert second is not first and second.flags.writeable
+    first[:] = -1.0
+    assert np.array_equal(second, expected)
+    assert np.array_equal(dr.kde_eval_many(est, mesh), expected)
+
+
+@pytest.mark.parametrize("kind", list(dr.KERNELS))
+def test_only_immutable_query_arrays_are_memoised(kind):
+    """A writable array, or a read-only view of a writable base, is evaluated afresh every call."""
+    rng = np.random.default_rng(8)
+    est = dr.kde_build(rng.normal(0.0, 1.0, size=(30, 2)), 0.8, dr.KERNELS[kind])
+    writable = rng.uniform(-3.0, 3.0, size=(50, 2))
+    base = rng.uniform(-3.0, 3.0, size=(50, 2))
+    view = base[:]
+    view.flags.writeable = False
+    for query, owner in ((writable, writable), (view, base)):
+        assert np.array_equal(dr.kde_eval_many(est, query), reference_eval(est, query))
+        owner += 0.5
+        assert np.array_equal(dr.kde_eval_many(est, query), reference_eval(est, query))
+
+
+def test_memo_shared_between_threads_never_mixes_grids():
+    """Threads alternate one estimate between two meshes; each result must belong to its own mesh."""
+    rng = np.random.default_rng(10)
+    est = dr.kde_build(rng.normal(0.0, 1.0, size=(5, 1)), 0.5, dr.GAUSSIAN)
+    meshes = [dr.GridSpec(lo=(-4.0,), hi=(hi,), points_per_axis=8).mesh() for hi in (4.0, 5.0)]
+    expected = [reference_eval(est, mesh) for mesh in meshes]
+    mismatches = []
+
+    def work(offset):
+        for i in range(3000):
+            k = (i + offset) % 2
+            if not np.array_equal(dr.kde_eval_many(est, meshes[k]), expected[k]):
+                mismatches.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(t,)) for t in range(8)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert mismatches == []
 
 
 def test_select_bandwidth_floor_on_degenerate_samples():

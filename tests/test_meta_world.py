@@ -52,6 +52,28 @@ def test_sample_determinism():
     assert np.array_equal(a, b)
 
 
+@given(
+    st.integers(1, 3),
+    st.floats(-1e3, 1e3),
+    st.floats(0.0, 50.0),
+    st.floats(1e-6, 1e3),
+    st.integers(1, 2000),
+    st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_uniform_draws_match_rng_uniform_bit_for_bit(dim, lo, side, width, n, seed):
+    """draw_samples' uniform members equal rng.uniform with array bounds, and leave the same generator state."""
+    meta = dr.make_box_meta(dim, lo=lo, hi=lo + side, base_width=width, distance_scale=1.0 / max(side, 1.0))
+    handle = dr.draw_distribution(meta, np.random.default_rng(seed))
+    theta = np.asarray(handle.theta)
+    ours, theirs = np.random.default_rng([seed, 1]), np.random.default_rng([seed, 1])
+    got = dr.draw_samples(meta, handle, n, ours)
+    want = theirs.uniform(theta - width / 2.0, theta + width / 2.0, size=(n, dim))
+    assert np.array_equal(got, want)
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert ours.random() == theirs.random()
+
+
 def test_base_width_must_be_positive():
     with pytest.raises(ValueError):
         dr.make_box_meta(1, base_width=0.0)
