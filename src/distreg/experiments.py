@@ -8,6 +8,7 @@ execution order.  Floats are printed with six significant digits.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -24,6 +25,7 @@ from .meta_world import MetaDistribution, draw_distribution, draw_samples, make_
 from .regression import (
     adaptive_closest_point,
     calibrate_sample_size,
+    check_calibration,
     default_max_iter,
     draw_labeled_dataset,
     family_grid,
@@ -191,13 +193,17 @@ _COUNT_FIELDS = ("trials", "d_list", "m_list", "i_max", "n", "m", "max_iter", "c
 
 
 def _check_ranges(config: ExperimentConfig) -> None:
-    """Reject counts below 1, and build each meta and grid size the run will, before any work."""
+    """Reject counts below 1 and scales not > 0; build each meta, grid size and calibration the run will use."""
     for key in _COUNT_FIELDS:
         value = getattr(config, key)
         if isinstance(value, list) and (not value or min(value) < 1):
             raise ConfigError(f"{key} must be a non-empty list of ints >= 1, got {value!r}")
         if isinstance(value, int) and value < 1:
             raise ConfigError(f"{key} must be >= 1, got {value!r}")
+    for key in ("h", "epsilon"):
+        value = getattr(config, key)
+        if value is not None and not 0 < value < math.inf:
+            raise ConfigError(f"{key} must be finite and > 0, got {value!r}")
     # The theory sweeps build one meta per entry of d_list; the estimator experiments build
     # the configured meta and a quadrature grid in its dimension.
     sweep = "d_list" in DEFAULTS[config.experiment]
@@ -208,6 +214,12 @@ def _check_ranges(config: ExperimentConfig) -> None:
             default_points_per_axis(meta.dim)
     except ValueError as exc:
         raise ConfigError(f"invalid meta description: {exc}") from exc
+    calibration = _calibration(config, meta)
+    if calibration is not None:
+        try:
+            check_calibration(**calibration)
+        except ValueError as exc:
+            raise ConfigError(f"invalid calibration: {exc}") from exc
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -325,14 +337,20 @@ def _run_lemma1(config: ExperimentConfig):
     return header, rows, {}, ok
 
 
-def _calibrate(
-    config: ExperimentConfig, meta: MetaDistribution, target_err: float, trials: int, kernel: KernelSpec
-):
-    """calibrate_sample_size on the family grid, with the config's confidence and seed."""
-    grid = family_grid(meta, 16)
-    return calibrate_sample_size(
-        meta, target_err, config.confidence, _rng(config.seed, 0), grid, trials=trials, kernel=kernel
-    )
+def _calibration(config: ExperimentConfig, meta: MetaDistribution) -> dict | None:
+    """target_err, confidence, grid and trials of the run's calibrate_sample_size call; None if none."""
+    if config.experiment == "calibrate":
+        target_err, trials = config.target_err, config.trials
+    elif config.experiment == "adaptive_regression" and config.n is None:
+        target_err, trials = config.epsilon / (9.0 * meta.lipschitz_const), config.calibration_trials
+    else:
+        return None
+    return dict(target_err=target_err, confidence=config.confidence, grid=family_grid(meta, 16), trials=trials)
+
+
+def _calibrate(config: ExperimentConfig, meta: MetaDistribution, kernel: KernelSpec):
+    """calibrate_sample_size with the run's arguments and the config's seed."""
+    return calibrate_sample_size(meta, rng=_rng(config.seed, 0), kernel=kernel, **_calibration(config, meta))
 
 
 def _run_adaptive_regression(config: ExperimentConfig):
@@ -343,7 +361,7 @@ def _run_adaptive_regression(config: ExperimentConfig):
     kernel = KERNELS[config.kernel]
     n, calibration = config.n, None
     if n is None:
-        calibration = _calibrate(config, meta, epsilon / (9.0 * lipschitz), config.calibration_trials, kernel)
+        calibration = _calibrate(config, meta, kernel)
         n = calibration.n
     grid = family_grid(meta, min(n, 16))
     max_iter = config.max_iter or default_max_iter(epsilon, lipschitz, meta.dim)
@@ -397,7 +415,7 @@ def _run_kernel_kernel_baseline(config: ExperimentConfig):
 
 def _run_calibrate(config: ExperimentConfig):
     header = "candidate_n,mean_l1,stderr,passed"
-    result = _calibrate(config, config.meta.build(), config.target_err, config.trials, KERNELS[config.kernel])
+    result = _calibrate(config, config.meta.build(), KERNELS[config.kernel])
     rows = [tuple(entry) for entry in result.history]
     summary = {"n": result.n, "capped": result.capped}
     return header, rows, summary, not result.capped

@@ -10,7 +10,7 @@ estimate integrates to one for every dim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache, cached_property
 
 import numpy as np
@@ -115,8 +115,7 @@ def radial_normalizer(kind: str, dim: int) -> float:
     profiles are 1D-normalized.
     """
     kernel = KERNELS[kind]
-    upper = 1.0 if math.isfinite(kernel.support_radius) else np.inf
-    integral, _ = quad(lambda r: float(kernel.profile(r)) * r ** (dim - 1), 0.0, upper)
+    integral, _ = quad(lambda r: float(kernel.profile(r)) * r ** (dim - 1), 0.0, kernel.support_radius)
     return _sphere_area(dim) * integral
 
 
@@ -133,6 +132,9 @@ class DensityEstimate:
     kernel: KernelSpec
     dim: int
     count: int
+    # One slot holding (query array, read-only values) of the last memoised
+    # evaluation; kde_eval_many replaces the whole pair in one assignment.
+    _last_eval: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.count < 1 or self.count != self.points.shape[0]:
@@ -149,18 +151,6 @@ class DensityEstimate:
     @cached_property
     def _sorted_1d(self) -> np.ndarray:
         return np.sort(self.points[:, 0])
-
-    @cached_property
-    def _last_eval(self) -> list:
-        # One slot holding (query array, read-only values) of the last memoised
-        # evaluation; kde_eval_many replaces the whole pair in one assignment.
-        return [None]
-
-    @cached_property
-    def _center_1d(self) -> float:
-        # Reference point for the centered window sums; keeps the expanded
-        # quadratic in _eval_compact_1d well conditioned far from the origin.
-        return float(self._sorted_1d[self.count // 2])
 
     def support_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Componentwise [min - b, max + b] box; exact support for compact kernels."""
@@ -186,10 +176,7 @@ def kde_build(samples, bandwidth: float, kernel: KernelSpec) -> DensityEstimate:
     Accepts an (n, k) array or a sequence of length-k vectors; 1D scalars are
     promoted to k = 1.  NaN or infinite samples raise ValueError.
     """
-    pts = _as_points(samples)
-    if not bandwidth > 0:
-        raise ValueError("bandwidth must be positive")
-    pts = pts.copy()
+    pts = _as_points(samples).copy()
     pts.flags.writeable = False
     return DensityEstimate(
         points=pts,
@@ -200,10 +187,6 @@ def kde_build(samples, bandwidth: float, kernel: KernelSpec) -> DensityEstimate:
     )
 
 
-# Cap on pairwise-block size for the dense evaluation path.  Blocks are sized
-# from the full query count, so each row sums its samples in the same blocks
-# whichever rows are computed.
-_BLOCK_ELEMENTS = 4_000_000
 # Query rows x samples per tile of the dense path's scratch buffers.
 _TILE_ELEMENTS = 2**15
 # Relative widening of the support box before rows outside it are skipped;
@@ -211,57 +194,47 @@ _TILE_ELEMENTS = 2**15
 _SUPPORT_MARGIN = 1e-9
 
 
-def _rows_in_support(est: DensityEstimate, x: np.ndarray) -> np.ndarray | None:
-    """Indices of the query rows that can see a sample; None means all rows."""
+def _rows_in_support(est: DensityEstimate, x: np.ndarray) -> np.ndarray | slice:
+    """Mask of the query rows that can see a sample; every row for the gaussian."""
     if not math.isfinite(est.kernel.support_radius):
-        return None
+        return slice(None)
     lo, hi = est.support_box()
     pad = _SUPPORT_MARGIN * np.maximum(np.abs(lo), np.abs(hi))
-    inside = ((x >= lo - pad) & (x <= hi + pad)).all(axis=1)
-    return None if inside.all() else np.flatnonzero(inside)
+    return ((x >= lo - pad) & (x <= hi + pad)).all(axis=1)
 
 
 def _eval_dense(est: DensityEstimate, x: np.ndarray) -> np.ndarray:
     """Density at every query row, tile by tile; rows outside a compact support are 0.
 
-    Each value comes from the same float operations, in the same order, as a
-    single pass that materialises the (queries x samples x dim) difference
-    tensor of every sample block.
+    Each row is summed over all samples, by the same float operations, in the
+    same order, as a single pass that materialises the whole (queries x
+    samples x dim) difference tensor.
     """
-    b, dim = est.bandwidth, est.dim
-    scale = 1.0 / (est.count * est._normalizer * b**dim)
-    block = max(1, _BLOCK_ELEMENTS // max(1, x.shape[0]))
+    b, dim, n = est.bandwidth, est.dim, est.count
+    scale = 1.0 / (n * est._normalizer * b**dim)
     rows = _rows_in_support(est, x)
-    q = x if rows is None else x[rows]
+    q = x[rows]
     profile = _PROFILES[est.kernel.kind]
-    width = min(block, est.count)
-    tile = max(1, _TILE_ELEMENTS // width)
-    # Flat buffers, reshaped per tile and block, keep every operand C-contiguous.
-    u_buf = np.empty(tile * width)
+    tile = max(1, _TILE_ELEMENTS // n)
+    # Flat buffers, reshaped per tile, keep every operand C-contiguous.
+    u_buf = np.empty(tile * n)
     if dim > 1:
         diff_buf = np.empty(u_buf.size * dim)
     values = np.empty(q.shape[0])
     for first in range(0, q.shape[0], tile):
         qt = q[first : first + tile]
-        acc = np.zeros(qt.shape[0])
-        for start in range(0, est.count, block):
-            chunk = est.points[start : start + block]
-            shape = (qt.shape[0], chunk.shape[0])
-            u = u_buf[: shape[0] * shape[1]].reshape(shape)
-            if dim == 1:  # diff * diff equals the one-term einsum bit for bit
-                np.subtract(qt, chunk[:, 0], out=u)
-                np.multiply(u, u, out=u)
-            else:
-                diff = diff_buf[: u.size * dim].reshape(*shape, dim)
-                np.subtract(qt[:, None, :], chunk[None, :, :], out=diff)
-                np.einsum("qjk,qjk->qj", diff, diff, out=u)
-            np.sqrt(u, out=u)
-            np.divide(u, b, out=u)
-            profile(u)
-            acc += u.sum(axis=1)
-        np.multiply(acc, scale, out=values[first : first + tile])
-    if rows is None:
-        return values
+        u = u_buf[: qt.shape[0] * n].reshape(qt.shape[0], n)
+        if dim == 1:  # diff * diff equals the one-term einsum bit for bit
+            np.subtract(qt, est.points[:, 0], out=u)
+            np.multiply(u, u, out=u)
+        else:
+            diff = diff_buf[: u.size * dim].reshape(*u.shape, dim)
+            np.subtract(qt[:, None, :], est.points[None, :, :], out=diff)
+            np.einsum("qjk,qjk->qj", diff, diff, out=u)
+        np.sqrt(u, out=u)
+        np.divide(u, b, out=u)
+        profile(u)
+        np.multiply(u.sum(axis=1), scale, out=values[first : first + tile])
     out = np.zeros(x.shape[0])
     out[rows] = values
     return out
@@ -278,8 +251,11 @@ def _eval_compact_1d(est: DensityEstimate, x: np.ndarray) -> np.ndarray:
     scale = 1.0 / (est.count * est._normalizer * b)
     if est.kernel.kind == "boxcar":
         return 0.5 * w * scale
-    centered = pts - est._center_1d
-    y = q - est._center_1d
+    # Centering on the middle sample keeps the expanded quadratic below well
+    # conditioned far from the origin.
+    center = float(pts[est.count // 2])
+    centered = pts - center
+    y = q - center
     s1 = np.concatenate(([0.0], np.cumsum(centered)))
     s2 = np.concatenate(([0.0], np.cumsum(centered * centered)))
     sum1 = s1[hi] - s1[lo]
@@ -311,7 +287,7 @@ def kde_eval_many(est: DensityEstimate, x) -> np.ndarray:
         raise ValueError(f"query points must have dimension {est.dim}")
     if not np.isfinite(x).all():
         raise ValueError("query points contain non-finite values (nan or inf)")
-    if est.dim == 1 and est.kernel.kind in ("boxcar", "epanechnikov"):
+    if est.dim == 1 and math.isfinite(est.kernel.support_radius):
         values = _eval_compact_1d(est, x)
     else:
         values = _eval_dense(est, x)

@@ -52,6 +52,7 @@ __all__ = [
     "kernel_kernel_estimate",
     "adaptive_closest_point",
     "calibrate_sample_size",
+    "check_calibration",
     "default_max_iter",
     "family_grid",
     "draw_labeled_dataset",
@@ -216,9 +217,22 @@ def adaptive_closest_point(
     )
 
 
-def quadrature_resolution(grid: GridSpec) -> float:
-    """Smallest L1 separation the grid can meaningfully certify."""
-    return 2.0 / (grid.points_per_axis - 1)
+def check_calibration(target_err: float, confidence: float, grid: GridSpec, trials: int) -> None:
+    """Raise ValueError for arguments calibrate_sample_size rejects.
+
+    A target_err below the grid resolution raises UnreachableTargetError.
+    """
+    if not 0 < target_err <= 2:
+        raise ValueError("target_err must lie in (0, 2]")
+    if not 0 < confidence < 1:
+        raise ValueError("confidence must lie in (0, 1)")
+    if trials < 2:
+        raise ValueError("trials must be >= 2")
+    resolution = 2.0 / (grid.points_per_axis - 1)  # smallest L1 separation the grid can certify
+    if target_err < resolution:
+        raise UnreachableTargetError(
+            f"target_err {target_err:.3g} is below the grid resolution {resolution:.3g}"
+        )
 
 
 def calibrate_sample_size(
@@ -237,17 +251,7 @@ def calibrate_sample_size(
     the same member stays below target_err with the requested one-sided
     confidence.  Returns the cap flagged as capped when nothing passes.
     """
-    if not 0 < target_err <= 2:
-        raise ValueError("target_err must lie in (0, 2]")
-    if not 0 < confidence < 1:
-        raise ValueError("confidence must lie in (0, 1)")
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
-    if target_err < quadrature_resolution(grid):
-        raise UnreachableTargetError(
-            f"target_err {target_err:.3g} is below the grid resolution "
-            f"{quadrature_resolution(grid):.3g}"
-        )
+    check_calibration(target_err, confidence, grid, trials)
     z = float(norm.ppf(confidence))
     history = []
     n = CALIBRATION_N_MIN

@@ -1,8 +1,8 @@
 """Slow reference for the dense kernel-density evaluation.
 
 This is the straightforward form of ``distreg.kernels``' dense path: the
-profile formulas written with ``np.where`` and one (queries x samples x dim)
-difference tensor per sample block.  The library's tiled, row-skipping
+profile formulas written with ``np.where`` and each query row's profile
+values summed over every sample at once.  The library's tiled, row-skipping
 evaluation must reproduce it bit for bit, so every float operation here
 (and its order) is the contract.
 """
@@ -39,16 +39,20 @@ def reference_normalizer(kind: str, dim: int) -> float:
     return sphere * integral
 
 
+# Query rows x samples per chunk, only to bound memory: a row's sum does not
+# depend on how many rows share the array.
+_CHUNK_ELEMENTS = 2**20
+
+
 def reference_eval(est, x) -> np.ndarray:
-    """Density at every row of the (m, dim) array x, summed over blocks of samples."""
+    """Density at every row of the (m, dim) array x, each row summed over all samples."""
     x = np.asarray(x, dtype=float)
     b = est.bandwidth
     scale = 1.0 / (est.count * reference_normalizer(est.kernel.kind, est.dim) * b**est.dim)
-    out = np.zeros(x.shape[0])
-    block = max(1, kernels._BLOCK_ELEMENTS // max(1, x.shape[0]))
-    for start in range(0, est.count, block):
-        chunk = est.points[start : start + block]
-        diff = x[:, None, :] - chunk[None, :, :]
+    out = np.empty(x.shape[0])
+    rows = max(1, _CHUNK_ELEMENTS // est.count)
+    for first in range(0, x.shape[0], rows):
+        diff = x[first : first + rows, None, :] - est.points[None, :, :]
         u = np.sqrt(np.einsum("qjk,qjk->qj", diff, diff)) / b
-        out += reference_profile(est.kernel.kind, u).sum(axis=1)
-    return out * scale
+        out[first : first + rows] = reference_profile(est.kernel.kind, u).sum(axis=1) * scale
+    return out

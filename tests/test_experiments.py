@@ -239,6 +239,17 @@ def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
         ("lemma1", "m_list: [0, 4]\n", "m_list must be a non-empty list of ints >= 1"),
         ("kernel_kernel_baseline", "m: 0\n", "m must be >= 1"),
         ("adaptive_regression", "max_iter: -2\n", "max_iter must be >= 1"),
+        ("kernel_kernel_baseline", "h: 0\n", "h must be finite and > 0"),
+        ("kernel_kernel_baseline", "h: .nan\n", "h must be finite and > 0"),
+        ("adaptive_regression", "epsilon: -1\n", "epsilon must be finite and > 0"),
+        ("adaptive_regression", "epsilon: .inf\n", "epsilon must be finite and > 0"),
+        ("adaptive_regression", "epsilon: 100\n", "target_err must lie in (0, 2]"),
+        ("adaptive_regression", "confidence: 0\n", "confidence must lie in (0, 1)"),
+        ("adaptive_regression", "calibration_trials: 1\n", "trials must be >= 2"),
+        ("calibrate", "confidence: 1.5\n", "confidence must lie in (0, 1)"),
+        ("calibrate", "trials: 1\n", "trials must be >= 2"),
+        ("calibrate", "target_err: 3\n", "target_err must lie in (0, 2]"),
+        ("calibrate", "target_err: 0.0001\n", "below the grid resolution 0.00196"),
     ]:
         cfg.write_text(f"{text}out_path: {tmp_path / 'range.csv'}\n")
         assert main([experiment, "--config", str(cfg)]) == 2

@@ -110,8 +110,9 @@ def test_kde_eval_boundary_counts_both_kernels():
 def test_kde_build_errors():
     with pytest.raises(ValueError):
         dr.kde_build([], 1.0, dr.BOXCAR)
-    with pytest.raises(ValueError):
-        dr.kde_build([[0.0]], 0.0, dr.BOXCAR)
+    for bad in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="bandwidth must be positive"):
+            dr.kde_build([[0.0]], bad, dr.BOXCAR)
     with pytest.raises(ValueError):
         dr.kde_build([[0.0, 1.0], [2.0]], 1.0, dr.BOXCAR)
     for bad in (math.nan, math.inf, -math.inf):
@@ -216,36 +217,49 @@ def _queries_around(est, rng, count):
     dim=st.integers(1, 3),
     n=st.integers(1, 300),
     centre=st.sampled_from([0.0, 3.0, -1e3, 1e6, -1e6]),
-    small_blocks=st.booleans(),
+    small_tiles=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=40, deadline=None)
-def test_dense_path_equals_reference_bit_for_bit(kind, dim, n, centre, small_blocks, seed):
+def test_dense_path_equals_reference_bit_for_bit(kind, dim, n, centre, small_tiles, seed):
     """Tiles and the skipped rows outside a compact support change no bit of any value.
 
-    With small_blocks the sample-block cap is shrunk so that a few hundred
-    queries already split the samples into many blocks.
+    With small_tiles the tile cap is shrunk so that tiles hold one row, or a
+    few, and the rows inside a compact support split into many tiles.
     """
     rng = np.random.default_rng(seed)
     points = centre + rng.normal(0.0, rng.uniform(0.1, 3.0), size=(n, dim))
     est = dr.kde_build(points, float(rng.uniform(0.05, 2.0)), dr.KERNELS[kind])
     x = _queries_around(est, rng, int(rng.integers(0, 400)))
-    block_elements = 2_000 if small_blocks else kernels._BLOCK_ELEMENTS
-    with mock.patch.object(kernels, "_BLOCK_ELEMENTS", block_elements):
-        expected = reference_eval(est, x)
+    expected = reference_eval(est, x)
+    with mock.patch.object(kernels, "_TILE_ELEMENTS", 64 if small_tiles else kernels._TILE_ELEMENTS):
         assert np.array_equal(_eval_dense(est, x), expected)
         if dim > 1 or kind == "gaussian":  # kde_eval_many's dense cases
             assert np.array_equal(dr.kde_eval_many(est, x), expected)
 
 
-def test_dense_path_equals_reference_over_several_full_blocks():
+def test_dense_path_equals_reference_with_more_samples_than_a_tile():
     rng = np.random.default_rng(5)
     for kind, dim in (("epanechnikov", 2), ("boxcar", 3)):
-        points = rng.normal(0.0, 1.0, size=(900, dim))
+        points = rng.normal(0.0, 1.0, size=(40_000, dim))
         est = dr.kde_build(points, 0.4, dr.KERNELS[kind])
-        x = _queries_around(est, rng, 4_500 - 8)
-        assert kernels._BLOCK_ELEMENTS // x.shape[0] < est.count  # two sample blocks
+        x = _queries_around(est, rng, 200 - 8)
+        assert est.count > kernels._TILE_ELEMENTS  # one row per tile
         assert np.array_equal(dr.kde_eval_many(est, x), reference_eval(est, x))
+
+
+@pytest.mark.parametrize("kind", list(dr.KERNELS))
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_dense_path_does_not_depend_on_the_tile_size(kind, dim):
+    rng = np.random.default_rng(20 + dim)
+    est = dr.kde_build(rng.normal(0.0, 1.0, size=(150, dim)), 0.6, dr.KERNELS[kind])
+    x = _queries_around(est, rng, 300)
+    expected = reference_eval(est, x)
+    for tile_elements in (1, 64, 2**15):
+        with mock.patch.object(kernels, "_TILE_ELEMENTS", tile_elements):
+            assert np.array_equal(_eval_dense(est, x), expected), tile_elements
+            if kind != "gaussian":  # a support that misses every query gives exact zeros
+                assert np.array_equal(_eval_dense(est, x + 100.0), np.zeros(x.shape[0]))
 
 
 def test_fast_path_matches_dense_path():
@@ -258,7 +272,7 @@ def test_fast_path_matches_dense_path():
     # The prefix sums are not exact: their window differences cancel.  The
     # error is pinned at offset 1e6 with 200k samples, where it measured
     # 1.7e-11 of the peak, and 3.7e-10 relative where the density is above
-    # 1e-3 of its peak.
+    # 1e-3 of its peak, against an oracle that sums each row over all samples.
     x = rng.normal(1e6, 1.3, size=(200_000, 1))
     est = dr.kde_build(x, dr.select_bandwidth(x), dr.EPANECHNIKOV)
     q = rng.uniform(1e6 - 6, 1e6 + 6, size=(100, 1))
