@@ -193,7 +193,7 @@ _COUNT_FIELDS = ("trials", "d_list", "m_list", "i_max", "n", "m", "max_iter", "c
 
 
 def _check_ranges(config: ExperimentConfig) -> None:
-    """Reject counts below 1 and scales not > 0; build each meta, grid size and calibration the run will use."""
+    """Reject counts < 1 and h, epsilon not > 0; check each meta, grid size and calibration the run will use."""
     for key in _COUNT_FIELDS:
         value = getattr(config, key)
         if isinstance(value, list) and (not value or min(value) < 1):
