@@ -1,12 +1,17 @@
 #!/usr/bin/env bash
-# The three checks a change must pass, in order; stops at the first failure.
+# The four checks a change must pass, in order; stops at the first failure.
 #
 #   scripts/check.sh
 #
 # 1. the test suite (tests/);
 # 2. the benchmark's own tests (perfbench/);
 # 3. scripts/run_all.py --assert in a temporary directory, then each
-#    regenerated CSV compared byte for byte with the tracked results/.
+#    regenerated CSV compared byte for byte with the tracked results/;
+# 4. perfbench/run.py once per workload at seed 101 (--seconds 20): each run
+#    must print "correct": true and the row digest that perfbench/baseline.json
+#    records for that seed.  It reads perfbench and changes nothing in it.
+# Then it prints the source line total (src/distreg/*.py plus
+# scripts/run_all.py) that ROADMAP.md tracks.
 set -euo pipefail
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -22,4 +27,21 @@ trap 'rm -rf "$WORK"' EXIT
 for csv in results/*.csv; do
     cmp "$csv" "$WORK/$csv"
 done
+
+python - <<'PY'
+import json
+import subprocess
+import sys
+
+recorded = json.load(open("perfbench/baseline.json"))["workloads"]
+for name, baseline in recorded.items():
+    cmd = [sys.executable, "perfbench/run.py", "--workload", name, "--seed", "101", "--seconds", "20"]
+    lines = subprocess.run(cmd, capture_output=True, text=True, check=True).stdout.splitlines()
+    report, result = json.loads(lines[-2]), json.loads(lines[-1])
+    if not result["correct"] or report["rows_sha256"] != baseline["rows_sha256"]["101"]:
+        sys.exit(f"check.sh: {name} at seed 101: correct {result['correct']}, rows_sha256 {report['rows_sha256']}")
+    print(f"check.sh: {name} at seed 101 is correct, rows_sha256 as recorded")
+PY
+
+echo "check.sh: source lines: $(cat src/distreg/*.py scripts/run_all.py | wc -l)"
 echo "check.sh: all checks passed"

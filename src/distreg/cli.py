@@ -3,14 +3,15 @@
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
-from dataclasses import asdict
 from pathlib import Path
 
 import yaml
 
-from .experiments import DEFAULTS, EXPERIMENTS, ConfigError, ExperimentConfig, MetaConfig
+from .experiments import DEFAULTS, EXPERIMENTS, ConfigError, ExperimentConfig
 from .experiments import parse_config, run_experiment, summary_line, worker_count
+from .meta_world import make_box_meta
 
 
 def _defaults_epilog() -> str:
@@ -19,7 +20,8 @@ def _defaults_epilog() -> str:
 
     lines = ["per-experiment defaults (override in the config file):"]
     lines += [f"  {name}: {flow(DEFAULTS[name])}" for name in EXPERIMENTS]
-    lines.append(f"meta defaults (the config's meta mapping): {flow(asdict(MetaConfig()))}")
+    meta = {name: p.default for name, p in inspect.signature(make_box_meta).parameters.items()}
+    lines.append(f"meta defaults (the config's meta mapping): {flow(meta)}")
     lines.append("environment: DISTREG_THREADS sets the trial-loop workers, a positive integer (default 1)")
     return "\n".join(lines)
 

@@ -41,7 +41,6 @@ from .theory_checks import (
 
 __all__ = [
     "ConfigError",
-    "MetaConfig",
     "ExperimentConfig",
     "RunReport",
     "EXPERIMENTS",
@@ -57,33 +56,12 @@ class ConfigError(ValueError):
 
 
 @dataclass
-class MetaConfig:
-    """Serializable description of a meta-distribution.
-
-    Experiments that sweep a d_list override dim per cell and broadcast the
-    scalar box bounds; the remaining fields carry over unchanged.
-    """
-
-    family: str = "uniform_location"
-    dim: int = 1
-    lo: float = 0.0
-    hi: float = 1.0
-    base_width: float = 2.0
-    label_fn: str = "coordinate_sum"
-    lipschitz_const: float = 1.0
-    distance_scale: float = 1.0
-
-    def build(self, dim: int | None = None) -> MetaDistribution:
-        return make_box_meta(**{**asdict(self), "dim": self.dim if dim is None else dim})
-
-
-@dataclass
 class ExperimentConfig:
     experiment: str
     seed: int = 0
     trials: int = 0  # filled per experiment by parse_config
     out_path: str = ""
-    meta: MetaConfig = field(default_factory=MetaConfig)
+    meta: dict[str, Any] = field(default_factory=dict)  # make_box_meta's keyword arguments
     d_list: list[int] | None = None
     m_list: list[int] | None = None
     i_max: int | None = None
@@ -116,29 +94,25 @@ DEFAULTS: dict[str, dict[str, Any]] = {
 EXPERIMENTS = tuple(DEFAULTS)
 
 
-def _type_error(key: str, value: Any, hint: Any) -> str | None:
-    """Why value does not fit the annotation hint of config key, or None if it fits.
+# The YAML types each annotated type accepts; a bool is never an int or a float.
+_ACCEPTED = {int: (int,), float: (int, float), str: (str,)}
 
-    YAML gives ints, floats, strings and lists; an int field takes no bool and
-    no float, and a float field takes an int.
-    """
+
+def _type_error(key: str, value: Any, hint: Any) -> str | None:
+    """Why value does not fit the annotation hint of config key, or None if it fits."""
     args = get_args(hint)
     expected = next(a for a in args if a is not type(None)) if type(None) in args else hint
-    if expected is int:
-        ok = isinstance(value, int) and not isinstance(value, bool)
-    elif expected is float:
-        ok = isinstance(value, (int, float)) and not isinstance(value, bool)
-    elif expected is str:
-        ok = isinstance(value, str)
-    else:  # list[int]
-        ok = isinstance(value, list) and all(_type_error(key, v, int) is None for v in value)
-        return None if ok else f"{key} must be a list of int, got {value!r}"
-    return None if ok else f"{key} must be {expected.__name__}, got {value!r}"
+    if expected in _ACCEPTED:
+        ok = isinstance(value, _ACCEPTED[expected]) and not isinstance(value, bool)
+        return None if ok else f"{key} must be {expected.__name__}, got {value!r}"
+    ok = isinstance(value, list) and all(_type_error(key, v, int) is None for v in value)  # list[int]
+    return None if ok else f"{key} must be a list of int, got {value!r}"
 
 
-def _known_values(cls: type, raw: dict, what: str) -> dict[str, Any]:
-    """raw without its nulls (a null keeps the default); each key a field of cls, each value of its type."""
-    hints = get_type_hints(cls)
+def _known_values(schema: Callable, raw: dict, what: str) -> dict[str, Any]:
+    """raw without its nulls (a null keeps the default); each key annotated in schema, each value of its type."""
+    hints = get_type_hints(schema)
+    hints.pop("return", None)
     unknown = set(raw) - set(hints)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
@@ -178,7 +152,7 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     if not isinstance(meta_raw, dict):
         raise ConfigError("meta must be a mapping")
     merged = {**DEFAULTS[name], **_known_values(ExperimentConfig, raw, "config")}
-    meta = MetaConfig(**_known_values(MetaConfig, meta_raw, "meta"))
+    meta = _known_values(make_box_meta, meta_raw, "meta")
     config = ExperimentConfig(experiment=name, meta=meta, **merged)
     if not config.out_path:
         config.out_path = f"distreg_{name}.csv"
@@ -209,7 +183,7 @@ def _check_ranges(config: ExperimentConfig) -> None:
     sweep = "d_list" in DEFAULTS[config.experiment]
     try:
         for dim in config.d_list if sweep else [None]:
-            meta = config.meta.build(dim=dim)
+            meta = _meta(config, dim)
         if not sweep:
             default_points_per_axis(meta.dim)
     except ValueError as exc:
@@ -275,6 +249,14 @@ def _rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng([seed, *path])
 
 
+def _meta(config: ExperimentConfig, dim: int | None = None) -> MetaDistribution:
+    """The config's meta-distribution; a sweep's dim replaces the configured one."""
+    kwargs = dict(config.meta)
+    if dim is not None:
+        kwargs["dim"] = dim
+    return make_box_meta(**kwargs)
+
+
 # ---------------------------------------------------------------------------
 # experiment bodies
 # ---------------------------------------------------------------------------
@@ -286,7 +268,7 @@ def _run_theorem1_scaling(config: ExperimentConfig):
     slopes: dict[str, float] = {}
     ok = True
     for di, d in enumerate(config.d_list):
-        meta = config.meta.build(dim=d)
+        meta = _meta(config, d)
         s = meta.center()
         means = []
         for mi, m in enumerate(config.m_list):
@@ -309,7 +291,7 @@ def _run_small_ball(config: ExperimentConfig):
     ok = True
     max_sigma_dev = 0.0
     for di, d in enumerate(config.d_list):
-        meta = config.meta.build(dim=d)
+        meta = _meta(config, d)
         report = check_small_ball_bound(meta, meta.center(), config.i_max, config.trials, _rng(config.seed, di))
         for i in range(config.i_max + 1):
             rows.append(
@@ -328,7 +310,7 @@ def _run_lemma1(config: ExperimentConfig):
     rows: list[tuple] = []
     ok = True
     for di, d in enumerate(config.d_list):
-        meta = config.meta.build(dim=d)
+        meta = _meta(config, d)
         s = meta.center()
         for mi, m in enumerate(config.m_list):
             res = lemma1_sums(d, m, config.i_max, config.trials, meta, s, _rng(config.seed, di, mi))
@@ -355,7 +337,7 @@ def _calibrate(config: ExperimentConfig, meta: MetaDistribution, kernel: KernelS
 
 def _run_adaptive_regression(config: ExperimentConfig):
     header = "trial,label,truth,abs_err,iterations,samples_drawn,converged"
-    meta = config.meta.build()
+    meta = _meta(config)
     lipschitz = meta.lipschitz_const
     epsilon = config.epsilon
     kernel = KERNELS[config.kernel]
@@ -391,7 +373,7 @@ def _run_adaptive_regression(config: ExperimentConfig):
 
 def _run_kernel_kernel_baseline(config: ExperimentConfig):
     header = "trial,estimate,truth,abs_err,m,n"
-    meta = config.meta.build()
+    meta = _meta(config)
     kernel = KERNELS[config.kernel]
     grid = family_grid(meta, min(config.n, 16))
 
@@ -415,7 +397,7 @@ def _run_kernel_kernel_baseline(config: ExperimentConfig):
 
 def _run_calibrate(config: ExperimentConfig):
     header = "candidate_n,mean_l1,stderr,passed"
-    result = _calibrate(config, config.meta.build(), KERNELS[config.kernel])
+    result = _calibrate(config, _meta(config), KERNELS[config.kernel])
     rows = [tuple(entry) for entry in result.history]
     summary = {"n": result.n, "capped": result.capped}
     return header, rows, summary, not result.capped

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache, cached_property
+from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad
@@ -121,7 +121,7 @@ def radial_normalizer(kind: str, dim: int) -> float:
 
 @dataclass(frozen=True)
 class DensityEstimate:
-    """A kernel density estimate: sample points, bandwidth, kernel, dimension.
+    """A kernel density estimate: sample points (n, dim), bandwidth, kernel.
 
     Treat as immutable; evaluation is thread-safe, and the only state it
     keeps is the memo of the last evaluation on an immutable query array.
@@ -130,27 +130,23 @@ class DensityEstimate:
     points: np.ndarray
     bandwidth: float
     kernel: KernelSpec
-    dim: int
-    count: int
     # One slot holding (query array, read-only values) of the last memoised
     # evaluation; kde_eval_many replaces the whole pair in one assignment.
     _last_eval: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.count < 1 or self.count != self.points.shape[0]:
-            raise ValueError("count must equal the number of points and be >= 1")
-        if self.dim < 1 or self.points.shape[1] != self.dim:
-            raise ValueError("every point must have length dim >= 1")
+        if self.points.ndim != 2 or self.points.size == 0:
+            raise ValueError("points must be a non-empty (n, dim) array")
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
 
-    @cached_property
-    def _normalizer(self) -> float:
-        return radial_normalizer(self.kernel.kind, self.dim)
+    @property
+    def dim(self) -> int:
+        return self.points.shape[1]
 
-    @cached_property
-    def _sorted_1d(self) -> np.ndarray:
-        return np.sort(self.points[:, 0])
+    @property
+    def count(self) -> int:
+        return self.points.shape[0]
 
     def support_box(self) -> tuple[np.ndarray, np.ndarray]:
         """Componentwise [min - b, max + b] box; exact support for compact kernels."""
@@ -178,13 +174,7 @@ def kde_build(samples, bandwidth: float, kernel: KernelSpec) -> DensityEstimate:
     """
     pts = _as_points(samples).copy()
     pts.flags.writeable = False
-    return DensityEstimate(
-        points=pts,
-        bandwidth=float(bandwidth),
-        kernel=kernel,
-        dim=pts.shape[1],
-        count=pts.shape[0],
-    )
+    return DensityEstimate(points=pts, bandwidth=float(bandwidth), kernel=kernel)
 
 
 # Query rows x samples per tile of the dense path's scratch buffers.
@@ -211,7 +201,7 @@ def _eval_dense(est: DensityEstimate, x: np.ndarray) -> np.ndarray:
     samples x dim) difference tensor.
     """
     b, dim, n = est.bandwidth, est.dim, est.count
-    scale = 1.0 / (n * est._normalizer * b**dim)
+    scale = 1.0 / (n * radial_normalizer(est.kernel.kind, dim) * b**dim)
     rows = _rows_in_support(est, x)
     q = x[rows]
     profile = _PROFILES[est.kernel.kind]
@@ -242,13 +232,13 @@ def _eval_dense(est: DensityEstimate, x: np.ndarray) -> np.ndarray:
 
 def _eval_compact_1d(est: DensityEstimate, x: np.ndarray) -> np.ndarray:
     # Window sums over sorted sample prefix sums; exact for compact kernels.
-    pts = est._sorted_1d
+    pts = np.sort(est.points[:, 0])
     b = est.bandwidth
     q = x[:, 0]
     lo = np.searchsorted(pts, q - b, side="left")
     hi = np.searchsorted(pts, q + b, side="right")
     w = (hi - lo).astype(float)
-    scale = 1.0 / (est.count * est._normalizer * b)
+    scale = 1.0 / (est.count * radial_normalizer(est.kernel.kind, 1) * b)
     if est.kernel.kind == "boxcar":
         return 0.5 * w * scale
     # Centering on the middle sample keeps the expanded quadratic below well

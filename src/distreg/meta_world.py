@@ -106,7 +106,7 @@ class DistributionHandle:
 
 
 def make_box_meta(
-    dim: int,
+    dim: int = 1,
     family: str = "uniform_location",
     lo: float = 0.0,
     hi: float = 1.0,
@@ -135,21 +135,26 @@ def make_box_meta(
 def _check_handle(meta: MetaDistribution, handle: DistributionHandle) -> np.ndarray:
     theta = np.asarray(handle.theta, dtype=float)
     lo, hi = np.asarray(meta.lo), np.asarray(meta.hi)
-    if theta.shape != lo.shape or np.any(theta < lo - 1e-9) or np.any(theta > hi + 1e-9):
+    if theta.shape != lo.shape or not np.all((theta >= lo - 1e-9) & (theta <= hi + 1e-9)):
         raise ValueError(f"handle {handle.theta} does not belong to this meta-distribution")
     return theta
 
 
+def _uniform(rng: np.random.Generator, lo, hi, shape) -> np.ndarray:
+    """Bit for bit rng.uniform(lo, hi, shape), generator state included, at a fraction of the cost."""
+    lo = np.asarray(lo)
+    return lo + (np.asarray(hi) - lo) * rng.random(shape)
+
+
 def draw_distribution(meta: MetaDistribution, rng: np.random.Generator) -> DistributionHandle:
     """Draw one member location uniformly from the parameter box."""
-    theta = rng.uniform(meta.lo, meta.hi)
-    return DistributionHandle(theta=tuple(np.atleast_1d(theta)))
+    return DistributionHandle(theta=_uniform(rng, meta.lo, meta.hi, meta.dim))
 
 
 def draw_thetas(meta: MetaDistribution, size, rng: np.random.Generator) -> np.ndarray:
     """Vectorized member locations with shape (*size, dim)."""
     shape = (size,) if np.isscalar(size) else tuple(size)
-    return rng.uniform(meta.lo, meta.hi, size=shape + (meta.dim,))
+    return _uniform(rng, meta.lo, meta.hi, shape + (meta.dim,))
 
 
 def draw_samples(
@@ -164,9 +169,7 @@ def draw_samples(
     theta = _check_handle(meta, handle)
     w = meta.base_width
     if meta.family == "uniform_location":
-        # Bit for bit rng.uniform(lo, hi, size), generator state included, at half the cost.
-        lo, hi = theta - w / 2.0, theta + w / 2.0
-        return lo + (hi - lo) * rng.random((n, meta.dim))
+        return _uniform(rng, theta - w / 2.0, theta + w / 2.0, (n, meta.dim))
     return theta + w * rng.standard_normal((n, meta.dim))
 
 
@@ -209,7 +212,7 @@ def ball_mass(meta: MetaDistribution, s: DistributionHandle, r: float) -> float:
     Product over axes of the clipped window length divided by the side
     length; degenerate axes carry mass one.
     """
-    if r < 0:
+    if not r >= 0:
         raise ValueError("radius must be nonnegative")
     theta = _check_handle(meta, s)
     lo, hi = np.asarray(meta.lo), np.asarray(meta.hi)

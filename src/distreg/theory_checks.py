@@ -34,8 +34,9 @@ __all__ = [
     "telescoping_sums",
 ]
 
-# Trial blocks are capped so scratch arrays stay around ~100 MB.
-_CHUNK_ELEMENTS = 8_000_000
+# Drawn values per trial block: each of a block's three float64 temporaries
+# (the draw, the difference from s and its absolute value) stays at 8 MB.
+_CHUNK_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
@@ -81,16 +82,23 @@ def _min_distances(
     trials: int,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """Per-trial distance from s to the nearest of m freshly drawn members."""
+    """Per-trial distance from s to the nearest of m freshly drawn members.
+
+    Blocks split at whole trials, so the draws and the result do not depend on
+    the block size.
+    """
     out = np.empty(trials)
-    block = max(1, _CHUNK_ELEMENTS // max(1, m * meta.dim))
-    done = 0
-    while done < trials:
-        take = min(block, trials - done)
-        thetas = draw_thetas(meta, (take, m), rng)
-        out[done : done + take] = sup_distances(meta, thetas, s).min(axis=1)
-        done += take
+    block = max(1, _CHUNK_ELEMENTS // (m * meta.dim))
+    for first in range(0, trials, block):
+        thetas = draw_thetas(meta, (min(block, trials - first), m), rng)
+        out[first : first + block] = sup_distances(meta, thetas, s).min(axis=1)
     return out
+
+
+def _mean_stderr(values: np.ndarray) -> tuple[float, float]:
+    """Sample mean and its standard error; the error of a single value is 0."""
+    n = values.size
+    return float(values.mean()), (float(values.std(ddof=1) / math.sqrt(n)) if n > 1 else 0.0)
 
 
 def expected_min_distance(
@@ -103,10 +111,7 @@ def expected_min_distance(
     """Monte Carlo mean and stderr of the distance from s to the nearest of m draws."""
     if m < 1 or trials < 1:
         raise ValueError("m and trials must be >= 1")
-    dists = _min_distances(meta, s, m, trials, rng)
-    mean = float(dists.mean())
-    stderr = float(dists.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
-    return mean, stderr
+    return _mean_stderr(_min_distances(meta, s, m, trials, rng))
 
 
 def fit_scaling_exponent(m_values: Sequence[int], means: Sequence[float]) -> float:
@@ -115,7 +120,7 @@ def fit_scaling_exponent(m_values: Sequence[int], means: Sequence[float]) -> flo
     means = np.asarray(means, dtype=float)
     if len(m_values) != len(means) or len(means) < 2:
         raise ValueError("need equal-length sequences of length >= 2")
-    if np.any(means <= 0):
+    if not np.all(means > 0):
         raise ValueError("means must be positive for a log-log fit")
     return float(np.polyfit(np.log(m_values), np.log(means), 1)[0])
 
@@ -143,9 +148,9 @@ def scaling_report(
 
 def theorem1_rhs_bound(d: float, m: int) -> float:
     """Upper bound (2/(e-2) + 1) * m^(-1/d) on the expected nearest-draw distance."""
-    if d < 1:
+    if not d >= 1:
         raise ValueError("d must be >= 1")
-    if m < 1:
+    if not m >= 1:
         raise ValueError("m must be >= 1")
     return (2.0 / (math.e - 2.0) + 1.0) * m ** (-1.0 / d)
 
@@ -165,7 +170,7 @@ def check_small_ball_bound(
     if i_max < 1 or trials < 1:
         raise ValueError("i_max and trials must be >= 1")
     d = meta.dim
-    dists = sup_distances(meta, draw_thetas(meta, trials, rng), s)
+    dists = _min_distances(meta, s, 1, trials, rng)
     radii, empirical, bound, exact, stderr, holds = [], [], [], [], [], []
     for i in range(i_max + 1):
         r = 2.0**-i
@@ -191,7 +196,7 @@ def check_small_ball_bound(
 
 def lemma1_rhs(d: float, m: int, i_max: int) -> float:
     """Sum of 2^-i * ((1 - 2^(-(i+1)d))^m - (1 - 2^(-id))^m) for i = 0..i_max."""
-    if d < 1:
+    if not d >= 1:
         raise ValueError("d must be >= 1")
     total = 0.0
     for i in range(i_max + 1):
@@ -208,7 +213,7 @@ def dyadic_weights(t: np.ndarray, i_max: int | None = None) -> np.ndarray:
     (when given) get weight zero, matching a truncated dyadic sum.
     """
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0) or np.any(t > 1):
+    if not np.all((t >= 0) & (t <= 1)):
         raise ValueError("samples must lie in [0, 1]")
     mant, expo = np.frexp(t)
     idx = np.where(mant == 0.5, 1 - expo, -expo)
@@ -241,8 +246,7 @@ def lemma1_sums(
         raise ValueError("d must be at least the meta-distribution's dimension")
     dists = _min_distances(meta, s, m, trials, rng)
     weights = dyadic_weights(np.clip(dists, 0.0, 1.0), i_max=i_max)
-    lhs = float(weights.mean())
-    stderr = float(weights.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
+    lhs, stderr = _mean_stderr(weights)
     rhs = lemma1_rhs(d, m, i_max)
     return Lemma1Result(lhs=lhs, rhs=rhs, stderr=stderr, holds=lhs <= rhs + 3.0 * stderr)
 

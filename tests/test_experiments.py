@@ -35,6 +35,7 @@ def test_parse_minimal_config_fills_defaults():
     assert config.m_list == [16, 256]
     assert config.out_path == "distreg_theorem1_scaling.csv"
     assert parse_config("experiment: calibrate\nkernel: null\n").kernel == "epanechnikov"
+    assert dr.make_box_meta() == dr.make_box_meta(1)
 
 
 def test_parse_rejects_unknown_experiment():
@@ -50,8 +51,9 @@ def test_parse_rejects_zero_trials():
 def test_parse_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):
         parse_config("experiment: lemma1\nbogus: 1\n")
-    with pytest.raises(ConfigError, match="unknown meta keys"):
-        parse_config("experiment: lemma1\nmeta: {shape: weird}\n")
+    for meta in ("{shape: weird}", "{return: 1}"):
+        with pytest.raises(ConfigError, match="unknown meta keys"):
+            parse_config(f"experiment: lemma1\nmeta: {meta}\n")
 
 
 def test_parse_rejects_experiment_mismatch():
@@ -190,6 +192,15 @@ def test_cli_seed_and_out_overrides(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out.strip())
     assert summary["seed"] == 99
     assert summary["out_path"] == str(out)
+
+
+def test_help_lists_the_meta_defaults(capsys):
+    with pytest.raises(SystemExit):
+        main(["--help"])
+    assert (
+        "meta defaults (the config's meta mapping): {base_width: 2.0, dim: 1, distance_scale: 1.0, "
+        "family: uniform_location, hi: 1.0, label_fn: coordinate_sum, lipschitz_const: 1.0, lo: 0.0}\n"
+    ) in capsys.readouterr().out
 
 
 def test_cli_rejects_unknown_experiment():

@@ -115,6 +115,9 @@ def test_kde_build_errors():
             dr.kde_build([[0.0]], bad, dr.BOXCAR)
     with pytest.raises(ValueError):
         dr.kde_build([[0.0, 1.0], [2.0]], 1.0, dr.BOXCAR)
+    for points in (np.empty((0, 1)), np.zeros(3)):
+        with pytest.raises(ValueError, match="non-empty"):
+            dr.DensityEstimate(points, 1.0, dr.BOXCAR)
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
             dr.kde_build([[0.0], [bad], [1.0]], 0.5, dr.EPANECHNIKOV)

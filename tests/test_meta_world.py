@@ -62,7 +62,8 @@ def test_sample_determinism():
 )
 @settings(max_examples=200, deadline=None)
 def test_uniform_draws_match_rng_uniform_bit_for_bit(dim, lo, side, width, n, seed):
-    """draw_samples' uniform members equal rng.uniform with array bounds, and leave the same generator state."""
+    """draw_samples' uniform members, draw_distribution and draw_thetas equal rng.uniform
+    with array bounds, and leave the same generator state."""
     meta = dr.make_box_meta(dim, lo=lo, hi=lo + side, base_width=width, distance_scale=1.0 / max(side, 1.0))
     handle = dr.draw_distribution(meta, np.random.default_rng(seed))
     theta = np.asarray(handle.theta)
@@ -72,6 +73,11 @@ def test_uniform_draws_match_rng_uniform_bit_for_bit(dim, lo, side, width, n, se
     assert np.array_equal(got, want)
     assert ours.bit_generator.state == theirs.bit_generator.state
     assert ours.random() == theirs.random()
+    ours, theirs = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 2])
+    assert np.array_equal(dr.draw_distribution(meta, ours).theta, theirs.uniform(meta.lo, meta.hi))
+    got = draw_thetas(meta, (n, 2), ours)
+    assert np.array_equal(got, theirs.uniform(meta.lo, meta.hi, size=(n, 2, dim)))
+    assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_base_width_must_be_positive():

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import distreg as dr
+from distreg import theory_checks
+from distreg.meta_world import draw_thetas, sup_distances
 from distreg.theory_checks import dyadic_weights, lemma1_rhs, scaling_report
 
 
@@ -31,6 +33,20 @@ def test_expected_min_distance_decreases_with_m():
         mean, se = dr.expected_min_distance(meta, s, m, 2000, np.random.default_rng([18, m]))
         assert mean < prev_mean + 3.0 * (se + prev_se)
         prev_mean, prev_se = mean, se
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 2**20])
+def test_min_distances_do_not_depend_on_the_block_size(chunk, monkeypatch):
+    """Blocks split at whole trials: any block size, a partial last block included, gives one draw's values."""
+    monkeypatch.setattr(theory_checks, "_CHUNK_ELEMENTS", chunk)
+    for dim, m, trials in [(1, 1, 10), (2, 1, 10), (1, 3, 11), (2, 3, 11), (2, 5, 1)]:
+        meta = unit_meta(dim)
+        s = meta.center()
+        ours, theirs = np.random.default_rng([19, dim, m]), np.random.default_rng([19, dim, m])
+        got = theory_checks._min_distances(meta, s, m, trials, ours)
+        want = sup_distances(meta, draw_thetas(meta, (trials, m), theirs), s).min(axis=1)
+        assert np.array_equal(got, want), (dim, m, trials)
+        assert ours.bit_generator.state == theirs.bit_generator.state
 
 
 def test_fit_scaling_exponent_exact_power_law():
@@ -180,6 +196,27 @@ def test_dyadic_check_uniform_samples():
 def test_dyadic_sum_brackets_the_mean(samples):
     exp, dyadic = dr.dyadic_expectation_check(samples)
     assert exp <= dyadic <= 2.0 * exp
+
+
+NAN_META = unit_meta(1)
+NAN_HANDLE = dr.DistributionHandle((math.nan,))
+NAN_CASES = [
+    (dyadic_weights, ([math.nan],)),
+    (dr.dyadic_expectation_check, ([math.nan, 0.3],)),
+    (dr.ball_mass, (NAN_META, NAN_META.center(), math.nan)),
+    (dr.theorem1_rhs_bound, (math.nan, 4)),
+    (lemma1_rhs, (math.nan, 4, 3)),
+    (dr.fit_scaling_exponent, ([1, 2], [math.nan, 1])),
+    (dr.oracle_label, (NAN_META, NAN_HANDLE)),
+    (dr.true_distance, (NAN_META, NAN_HANDLE, NAN_META.center())),
+]
+
+
+@pytest.mark.parametrize("fn,args", NAN_CASES, ids=[fn.__name__ for fn, _ in NAN_CASES])
+def test_nan_is_rejected_at_the_public_boundary(fn, args):
+    """A nan argument fails the range check instead of coming back as a number or nan."""
+    with pytest.raises(ValueError):
+        fn(*args)
 
 
 def test_dyadic_weights_bucket_edges():
