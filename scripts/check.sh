@@ -9,7 +9,9 @@
 #    regenerated CSV compared byte for byte with the tracked results/;
 # 4. perfbench/run.py once per workload at seed 101 (--seconds 20): each run
 #    must print "correct": true and the row digest that perfbench/baseline.json
-#    records for that seed.  It reads perfbench and changes nothing in it.
+#    records for that seed, and its setup_s and peak_rss_mb are printed, so an
+#    import or memory regression shows here too.  It reads perfbench and
+#    changes nothing in it.
 # Then it prints the source line total (src/distreg/*.py plus
 # scripts/run_all.py) that ROADMAP.md tracks.
 set -euo pipefail
@@ -40,7 +42,8 @@ for name, baseline in recorded.items():
     report, result = json.loads(lines[-2]), json.loads(lines[-1])
     if not result["correct"] or report["rows_sha256"] != baseline["rows_sha256"]["101"]:
         sys.exit(f"check.sh: {name} at seed 101: correct {result['correct']}, rows_sha256 {report['rows_sha256']}")
-    print(f"check.sh: {name} at seed 101 is correct, rows_sha256 as recorded")
+    setup_s, peak_rss_mb = (result["metrics"][key]["value"] for key in ("setup_s", "peak_rss_mb"))
+    print(f"check.sh: {name} at seed 101 is correct, rows_sha256 as recorded; setup_s {setup_s:.2f}, peak_rss_mb {peak_rss_mb:.1f}")
 PY
 
 echo "check.sh: source lines: $(cat src/distreg/*.py scripts/run_all.py | wc -l)"

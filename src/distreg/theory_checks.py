@@ -120,6 +120,8 @@ def fit_scaling_exponent(m_values: Sequence[int], means: Sequence[float]) -> flo
     means = np.asarray(means, dtype=float)
     if len(m_values) != len(means) or len(means) < 2:
         raise ValueError("need equal-length sequences of length >= 2")
+    if not np.all((m_values > 0) & (m_values < np.inf)):
+        raise ValueError("m values must be finite and > 0")
     if not np.all(means > 0):
         raise ValueError("means must be positive for a log-log fit")
     return float(np.polyfit(np.log(m_values), np.log(means), 1)[0])

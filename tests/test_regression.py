@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -217,6 +222,31 @@ def test_calibrate_gaussian_snapshot():
     result = calibrate_sample_size(meta, 0.1, 0.9, np.random.default_rng([100, 0]), family_grid(meta, 16))
     assert result.n == 1024
     assert not result.capped
+
+
+# One estimate per kernel in dims 1-3 and one tiny calibration, then print
+# the scipy modules loaded.
+_NO_SCIPY = """
+import sys
+import numpy as np
+import distreg as dr
+from distreg.regression import calibrate_sample_size, family_grid
+for kernel in dr.KERNELS.values():
+    for dim in (1, 2, 3):
+        dr.kde_eval(dr.kde_build(np.zeros((2, dim)), 1.0, kernel), np.zeros(dim))
+meta = dr.make_box_meta(1)
+calibrate_sample_size(meta, 2.0, 0.9, np.random.default_rng(0), family_grid(meta, 16), trials=2)
+print(sorted(name for name in sys.modules if name.split(".")[0] == "scipy"))
+"""
+
+
+def test_library_runs_without_scipy():
+    """numpy and pyyaml are the only runtime dependencies; scipy is for the tests."""
+    src = str(Path(dr.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    cmd = [sys.executable, "-c", _NO_SCIPY]
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_calibrate_validation():

@@ -60,6 +60,10 @@ def test_fit_scaling_exponent_rejects_bad_input():
         dr.fit_scaling_exponent([2, 4], [1.0, 0.0])
     with pytest.raises(ValueError):
         dr.fit_scaling_exponent([2], [1.0])
+    # m = 0 or < 0 used to warn from log, inf from divide, and nan to fail in LAPACK.
+    for bad in (0, -1, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            dr.fit_scaling_exponent([bad, 2], [1.0, 0.5])
 
 
 def test_monte_carlo_slope_near_minus_half_in_2d():
@@ -200,19 +204,20 @@ def test_dyadic_sum_brackets_the_mean(samples):
 
 NAN_META = unit_meta(1)
 NAN_HANDLE = dr.DistributionHandle((math.nan,))
-NAN_CASES = [
-    (dyadic_weights, ([math.nan],)),
-    (dr.dyadic_expectation_check, ([math.nan, 0.3],)),
-    (dr.ball_mass, (NAN_META, NAN_META.center(), math.nan)),
-    (dr.theorem1_rhs_bound, (math.nan, 4)),
-    (lemma1_rhs, (math.nan, 4, 3)),
-    (dr.fit_scaling_exponent, ([1, 2], [math.nan, 1])),
-    (dr.oracle_label, (NAN_META, NAN_HANDLE)),
-    (dr.true_distance, (NAN_META, NAN_HANDLE, NAN_META.center())),
-]
+NAN_CASES = {
+    "dyadic_weights": (dyadic_weights, ([math.nan],)),
+    "dyadic_expectation_check": (dr.dyadic_expectation_check, ([math.nan, 0.3],)),
+    "ball_mass": (dr.ball_mass, (NAN_META, NAN_META.center(), math.nan)),
+    "theorem1_rhs_bound": (dr.theorem1_rhs_bound, (math.nan, 4)),
+    "lemma1_rhs": (lemma1_rhs, (math.nan, 4, 3)),
+    "fit_scaling_exponent": (dr.fit_scaling_exponent, ([1, 2], [math.nan, 1])),
+    "fit_scaling_exponent_m": (dr.fit_scaling_exponent, ([math.nan, 2], [1.0, 0.5])),
+    "oracle_label": (dr.oracle_label, (NAN_META, NAN_HANDLE)),
+    "true_distance": (dr.true_distance, (NAN_META, NAN_HANDLE, NAN_META.center())),
+}
 
 
-@pytest.mark.parametrize("fn,args", NAN_CASES, ids=[fn.__name__ for fn, _ in NAN_CASES])
+@pytest.mark.parametrize("fn,args", NAN_CASES.values(), ids=NAN_CASES.keys())
 def test_nan_is_rejected_at_the_public_boundary(fn, args):
     """A nan argument fails the range check instead of coming back as a number or nan."""
     with pytest.raises(ValueError):
