@@ -5,8 +5,9 @@
 #
 # 1. the test suite (tests/);
 # 2. the benchmark's own tests (perfbench/);
-# 3. scripts/run_all.py --assert in a temporary directory, then each
-#    regenerated CSV compared byte for byte with the tracked results/;
+# 3. scripts/run_all.py --assert in a temporary directory, once with one
+#    trial-loop worker and once with DISTREG_THREADS=2, then each regenerated
+#    CSV of both runs compared byte for byte with the tracked results/;
 # 4. perfbench/run.py once per workload at seed 101 (--seconds 20): each run
 #    must print "correct": true and the row digest that perfbench/baseline.json
 #    records for that seed, and its setup_s and peak_rss_mb are printed, so an
@@ -25,9 +26,12 @@ python -m pytest -q perfbench
 
 WORK=$(mktemp -d)
 trap 'rm -rf "$WORK"' EXIT
-(cd "$WORK" && python "$ROOT/scripts/run_all.py" --assert)
-for csv in results/*.csv; do
-    cmp "$csv" "$WORK/$csv"
+for threads in 1 2; do
+    mkdir "$WORK/$threads"
+    (cd "$WORK/$threads" && DISTREG_THREADS=$threads python "$ROOT/scripts/run_all.py" --assert)
+    for csv in results/*.csv; do
+        cmp "$csv" "$WORK/$threads/$csv"
+    done
 done
 
 python - <<'PY'

@@ -11,7 +11,7 @@ import yaml
 
 from .experiments import DEFAULTS, EXPERIMENTS, ConfigError, ExperimentConfig
 from .experiments import parse_config, run_experiment, summary_line, worker_count
-from .meta_world import make_box_meta
+from .meta_world import MetaDistribution
 
 
 def _defaults_epilog() -> str:
@@ -20,7 +20,7 @@ def _defaults_epilog() -> str:
 
     lines = ["per-experiment defaults (override in the config file):"]
     lines += [f"  {name}: {flow(DEFAULTS[name])}" for name in EXPERIMENTS]
-    meta = {name: p.default for name, p in inspect.signature(make_box_meta).parameters.items()}
+    meta = {name: p.default for name, p in inspect.signature(MetaDistribution).parameters.items()}
     lines.append(f"meta defaults (the config's meta mapping): {flow(meta)}")
     lines.append("environment: DISTREG_THREADS sets the trial-loop workers, a positive integer (default 1)")
     return "\n".join(lines)
@@ -53,11 +53,7 @@ def _load(args: argparse.Namespace) -> ExperimentConfig:
         text = Path(args.config).read_text() if args.config else ""
     except OSError as exc:
         raise ConfigError(f"cannot read config: {exc}") from exc
-    config = parse_config(text, experiment=args.experiment)
-    if args.seed is not None:
-        config.seed = args.seed
-    if args.out is not None:
-        config.out_path = args.out
+    config = parse_config(text, experiment=args.experiment, seed=args.seed, out_path=args.out)
     out = Path(config.out_path)
     if not out.parent.is_dir():
         raise ConfigError(f"output directory does not exist: {out.parent}")

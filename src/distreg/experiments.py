@@ -21,7 +21,7 @@ import yaml
 from . import __version__
 from .density_distance import default_points_per_axis
 from .kernels import KERNELS, KernelSpec, kde_fit
-from .meta_world import MetaDistribution, draw_distribution, draw_samples, make_box_meta, oracle_label
+from .meta_world import MetaDistribution, draw_distribution, draw_samples, oracle_label
 from .regression import (
     adaptive_closest_point,
     calibrate_sample_size,
@@ -61,7 +61,7 @@ class ExperimentConfig:
     seed: int = 0
     trials: int = 0  # filled per experiment by parse_config
     out_path: str = ""
-    meta: dict[str, Any] = field(default_factory=dict)  # make_box_meta's keyword arguments
+    meta: dict[str, Any] = field(default_factory=dict)  # MetaDistribution's keyword arguments
     d_list: list[int] | None = None
     m_list: list[int] | None = None
     i_max: int | None = None
@@ -109,10 +109,9 @@ def _type_error(key: str, value: Any, hint: Any) -> str | None:
     return None if ok else f"{key} must be a list of int, got {value!r}"
 
 
-def _known_values(schema: Callable, raw: dict, what: str) -> dict[str, Any]:
+def _known_values(schema: type, raw: dict, what: str) -> dict[str, Any]:
     """raw without its nulls (a null keeps the default); each key annotated in schema, each value of its type."""
     hints = get_type_hints(schema)
-    hints.pop("return", None)
     unknown = set(raw) - set(hints)
     if unknown:
         raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
@@ -124,11 +123,12 @@ def _known_values(schema: Callable, raw: dict, what: str) -> dict[str, Any]:
     return values
 
 
-def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
+def parse_config(text: str, experiment: str | None = None, **overrides: Any) -> ExperimentConfig:
     """Parse a YAML key-value document into a validated, default-filled config.
 
     The experiment may come from the document or the CLI positional; when
-    both are present they must agree.
+    both are present they must agree.  Each override that is not None (the
+    CLI's --seed and --out) replaces the document's value before the checks.
     """
     try:
         raw = yaml.safe_load(text) or {}
@@ -151,8 +151,9 @@ def parse_config(text: str, experiment: str | None = None) -> ExperimentConfig:
     meta_raw = raw.pop("meta", {}) or {}
     if not isinstance(meta_raw, dict):
         raise ConfigError("meta must be a mapping")
+    raw.update((key, value) for key, value in overrides.items() if value is not None)
     merged = {**DEFAULTS[name], **_known_values(ExperimentConfig, raw, "config")}
-    meta = _known_values(make_box_meta, meta_raw, "meta")
+    meta = _known_values(MetaDistribution, meta_raw, "meta")
     config = ExperimentConfig(experiment=name, meta=meta, **merged)
     if not config.out_path:
         config.out_path = f"distreg_{name}.csv"
@@ -167,7 +168,9 @@ _COUNT_FIELDS = ("trials", "d_list", "m_list", "i_max", "n", "m", "max_iter", "c
 
 
 def _check_ranges(config: ExperimentConfig) -> None:
-    """Reject counts < 1 and h, epsilon not > 0; check each meta, grid size and calibration the run will use."""
+    """Reject counts < 1, a seed < 0 and h, epsilon not > 0; check the run's metas, grid, draw budget, calibration."""
+    if config.seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {config.seed!r}")
     for key in _COUNT_FIELDS:
         value = getattr(config, key)
         if isinstance(value, list) and (not value or min(value) < 1):
@@ -188,6 +191,11 @@ def _check_ranges(config: ExperimentConfig) -> None:
             default_points_per_axis(meta.dim)
     except ValueError as exc:
         raise ConfigError(f"invalid meta description: {exc}") from exc
+    if config.experiment == "adaptive_regression" and config.max_iter is None:
+        try:
+            default_max_iter(config.epsilon, meta.lipschitz_const, meta.dim)
+        except ValueError as exc:
+            raise ConfigError(f"invalid max_iter: {exc}") from exc
     calibration = _calibration(config, meta)
     if calibration is not None:
         try:
@@ -254,7 +262,7 @@ def _meta(config: ExperimentConfig, dim: int | None = None) -> MetaDistribution:
     kwargs = dict(config.meta)
     if dim is not None:
         kwargs["dim"] = dim
-    return make_box_meta(**kwargs)
+    return MetaDistribution(**kwargs)
 
 
 # ---------------------------------------------------------------------------

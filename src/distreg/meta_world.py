@@ -1,21 +1,25 @@
 """Synthetic distribution-over-distributions worlds with known geometry.
 
-A world draws location parameters uniformly from a box in R^d, so the
-measure over members has doubling dimension exactly d in the box interior.
+A world draws location parameters uniformly from the cube [lo, hi]^d, so the
+measure over members has doubling constant 2^d in the cube interior.  The
+MetaDistribution dataclass is the world and the one schema of a config's
+meta mapping; make_box_meta is its public name.
 Member distributions are uniform boxes or isotropic gaussians at the drawn
 location.  Distances between members are an explicit function of their
 parameters, which gives a ground-truth metric for every check downstream.
 
 Metric conventions:
   - parameter distance uses the sup norm, so ball masses over the uniform
-    box measure have closed forms (products of clipped interval lengths);
+    cube measure have closed forms (products of clipped interval lengths);
   - true_distance scales parameter distance by distance_scale; construction
-    enforces scaled box diameter <= 1, so every member has all meta mass
+    enforces scaled cube diameter <= 1, so every member has all meta mass
     within distance 1.
 """
 
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,7 +41,11 @@ _LABEL_FNS = ("coordinate_sum", "euclidean_norm")
 
 @dataclass(frozen=True)
 class MetaDistribution:
-    """Uniform measure over location parameters in the box [lo, hi].
+    """Uniform measure over location parameters in the cube [lo, hi]^dim.
+
+    The defaults give the canonical 1D test world: unit parameter interval,
+    width-2 uniform members, identity label.  There the sup-norm parameter
+    distance equals the exact L1 distance between members.
 
     family        member shape: uniform box or isotropic gaussian.
     base_width    member width (uniform) or standard deviation (gaussian).
@@ -49,48 +57,38 @@ class MetaDistribution:
                   distance used throughout (true_distance, ball radii).
     """
 
-    family: str
-    lo: tuple[float, ...]
-    hi: tuple[float, ...]
-    base_width: float
-    label_fn: str
-    lipschitz_const: float
-    distance_scale: float
+    dim: int = 1
+    family: str = "uniform_location"
+    lo: float = 0.0
+    hi: float = 1.0
+    base_width: float = 2.0
+    label_fn: str = "coordinate_sum"
+    lipschitz_const: float = 1.0
+    distance_scale: float = 1.0
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in np.atleast_1d(self.lo))
-        hi = tuple(float(v) for v in np.atleast_1d(self.hi))
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "hi", float(self.hi))
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family: {self.family!r}")
         if self.label_fn not in _LABEL_FNS:
             raise ValueError(f"unknown label_fn: {self.label_fn!r}")
-        if len(lo) != len(hi) or len(lo) < 1:
-            raise ValueError("lo and hi must be equal-length, dim >= 1")
-        if not all(-np.inf < a <= b < np.inf for a, b in zip(lo, hi)):
-            raise ValueError("parameter box requires finite lo <= hi componentwise")
-        if not self.base_width > 0:
-            raise ValueError("base_width must be positive")
-        if not self.lipschitz_const > 0:
-            raise ValueError("lipschitz_const must be positive")
-        if not self.distance_scale > 0:
-            raise ValueError("distance_scale must be positive")
-        diameter = self.distance_scale * max(b - a for a, b in zip(lo, hi))
+        if not (isinstance(self.dim, numbers.Integral) and self.dim >= 1):
+            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
+        if not -np.inf < self.lo <= self.hi < np.inf:
+            raise ValueError("parameter box requires finite lo <= hi")
+        for key in ("base_width", "lipschitz_const", "distance_scale"):
+            if not getattr(self, key) > 0:
+                raise ValueError(f"{key} must be positive")
+        diameter = self.distance_scale * (self.hi - self.lo)
         if diameter > 1.0 + 1e-9:
             raise ValueError(
                 f"scaled parameter diameter {diameter:.6g} exceeds 1; "
                 "shrink the box or distance_scale"
             )
 
-    @property
-    def dim(self) -> int:
-        return len(self.lo)
-
     def center(self) -> "DistributionHandle":
-        return DistributionHandle(
-            theta=tuple((a + b) / 2.0 for a, b in zip(self.lo, self.hi))
-        )
+        return DistributionHandle(theta=((self.lo + self.hi) / 2.0,) * self.dim)
 
 
 @dataclass(frozen=True)
@@ -105,37 +103,12 @@ class DistributionHandle:
         )
 
 
-def make_box_meta(
-    dim: int = 1,
-    family: str = "uniform_location",
-    lo: float = 0.0,
-    hi: float = 1.0,
-    base_width: float = 2.0,
-    label_fn: str = "coordinate_sum",
-    lipschitz_const: float = 1.0,
-    distance_scale: float = 1.0,
-) -> MetaDistribution:
-    """Meta-distribution on the cube [lo, hi]^dim.
-
-    The defaults give the canonical 1D test world: unit parameter interval,
-    width-2 uniform members, identity label.  There the sup-norm parameter
-    distance equals the exact L1 distance between members.
-    """
-    return MetaDistribution(
-        family=family,
-        lo=(lo,) * dim,
-        hi=(hi,) * dim,
-        base_width=base_width,
-        label_fn=label_fn,
-        lipschitz_const=lipschitz_const,
-        distance_scale=distance_scale,
-    )
+make_box_meta = MetaDistribution  # the public name: the meta-distribution on the cube [lo, hi]^dim
 
 
 def _check_handle(meta: MetaDistribution, handle: DistributionHandle) -> np.ndarray:
     theta = np.asarray(handle.theta, dtype=float)
-    lo, hi = np.asarray(meta.lo), np.asarray(meta.hi)
-    if theta.shape != lo.shape or not np.all((theta >= lo - 1e-9) & (theta <= hi + 1e-9)):
+    if theta.shape != (meta.dim,) or not np.all((theta >= meta.lo - 1e-9) & (theta <= meta.hi + 1e-9)):
         raise ValueError(f"handle {handle.theta} does not belong to this meta-distribution")
     return theta
 
@@ -147,7 +120,7 @@ def _uniform(rng: np.random.Generator, lo, hi, shape) -> np.ndarray:
 
 
 def draw_distribution(meta: MetaDistribution, rng: np.random.Generator) -> DistributionHandle:
-    """Draw one member location uniformly from the parameter box."""
+    """Draw one member location uniformly from the parameter cube."""
     return DistributionHandle(theta=_uniform(rng, meta.lo, meta.hi, meta.dim))
 
 
@@ -209,19 +182,15 @@ def sup_distances(meta: MetaDistribution, thetas: np.ndarray, s: DistributionHan
 def ball_mass(meta: MetaDistribution, s: DistributionHandle, r: float) -> float:
     """Exact meta mass of the scaled sup-norm ball B(s, r).
 
-    Product over axes of the clipped window length divided by the side
-    length; degenerate axes carry mass one.
+    Product over axes, in order, of the clipped window length divided by the
+    side length; a zero-width cube is an atom, always inside the ball.
     """
     if not r >= 0:
         raise ValueError("radius must be nonnegative")
     theta = _check_handle(meta, s)
-    lo, hi = np.asarray(meta.lo), np.asarray(meta.hi)
+    side = meta.hi - meta.lo
+    if side == 0:
+        return 1.0
     half = r / meta.distance_scale
-    overlap = np.minimum(theta + half, hi) - np.maximum(theta - half, lo)
-    side = hi - lo
-    mass = 1.0
-    for o, w in zip(overlap, side):
-        if w > 0:
-            mass *= max(o, 0.0) / w
-        # zero-width axis: the atom itself, always inside the ball
-    return float(mass)
+    overlap = np.minimum(theta + half, meta.hi) - np.maximum(theta - half, meta.lo)
+    return float(math.prod(max(o, 0.0) / side for o in overlap))

@@ -123,8 +123,11 @@ def kernel_kernel_estimate(
 
 
 def default_max_iter(epsilon: float, lipschitz: float, dim: int) -> int:
-    """Draw budget heuristic: 10 times the (6L/epsilon)^d coverage scale."""
-    return math.ceil(10.0 * (6.0 * lipschitz / epsilon) ** dim)
+    """Draw budget heuristic: 10 times the (6L/epsilon)^d coverage scale; ValueError if not finite."""
+    try:
+        return math.ceil(10.0 * (6.0 * lipschitz / epsilon) ** dim)
+    except OverflowError:
+        raise ValueError(f"the default max_iter 10 * (6L/epsilon)^{dim} is not finite; set max_iter") from None
 
 
 def family_grid(meta: MetaDistribution, n: int) -> GridSpec:
@@ -138,7 +141,8 @@ def family_grid(meta: MetaDistribution, n: int) -> GridSpec:
     # Hard spread bound for uniform members; generous tail bound for gaussian.
     sigma_cap = meta.base_width / 2.0 if meta.family == "uniform_location" else 3.0 * meta.base_width
     reach = meta.base_width / 2.0 if meta.family == "uniform_location" else 8.0 * meta.base_width
-    return box_grid(meta.lo, meta.hi, reach + 3.0 * plug_in_bandwidth(sigma_cap, n, meta.dim))
+    lo, hi = np.full(meta.dim, meta.lo), np.full(meta.dim, meta.hi)
+    return box_grid(lo, hi, reach + 3.0 * plug_in_bandwidth(sigma_cap, n, meta.dim))
 
 
 def draw_labeled_dataset(

@@ -220,6 +220,7 @@ def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
         (["lemma1", "--config", str(tmp_path / "missing.yaml")], "cannot read config"),
         (["lemma1", "--out", str(tmp_path / "no_dir" / "out.csv")], "output directory does not exist"),
         (["lemma1", "--out", str(tmp_path)], "output path is a directory"),
+        (["lemma1", "--seed", "-1", "--out", str(tmp_path / "range.csv")], "seed must be >= 0"),
     ]:
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -245,6 +246,9 @@ def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
     for experiment, text, message in [
         ("adaptive_regression", "meta: {dim: 4}\n", "dim <= 3 only"),
         ("kernel_kernel_baseline", "meta: {dim: 4}\n", "dim <= 3 only"),
+        ("kernel_kernel_baseline", "meta: {dim: 0}\n", "dim must be an integer >= 1"),
+        ("lemma1", "seed: -1\n", "seed must be >= 0"),
+        ("adaptive_regression", "n: 16\nepsilon: 1.0e-120\nmeta: {dim: 3}\n", "default max_iter"),
         ("small_ball", "d_list: [0]\n", "d_list must be a non-empty list of ints >= 1"),
         ("theorem1_scaling", "d_list: []\n", "d_list must be a non-empty list of ints >= 1"),
         ("lemma1", "m_list: [0, 4]\n", "m_list must be a non-empty list of ints >= 1"),

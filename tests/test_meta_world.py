@@ -74,7 +74,7 @@ def test_uniform_draws_match_rng_uniform_bit_for_bit(dim, lo, side, width, n, se
     assert ours.bit_generator.state == theirs.bit_generator.state
     assert ours.random() == theirs.random()
     ours, theirs = np.random.default_rng([seed, 2]), np.random.default_rng([seed, 2])
-    assert np.array_equal(dr.draw_distribution(meta, ours).theta, theirs.uniform(meta.lo, meta.hi))
+    assert np.array_equal(dr.draw_distribution(meta, ours).theta, theirs.uniform(meta.lo, meta.hi, size=dim))
     got = draw_thetas(meta, (n, 2), ours)
     assert np.array_equal(got, theirs.uniform(meta.lo, meta.hi, size=(n, 2, dim)))
     assert ours.bit_generator.state == theirs.bit_generator.state
@@ -195,6 +195,29 @@ def test_ball_mass_bounded_and_matches_sampling_bound(s, r):
     assert 0.0 <= mass <= 1.0
     # guarantee behind the dyadic bound; tight (equality) at box corners
     assert mass >= min(r, 1.0) - 1e-12
+
+
+@given(
+    st.integers(1, 3),
+    st.floats(-1e3, 1e3),
+    st.just(0.0) | st.floats(0.0, 50.0),
+    st.floats(0.05, 1.0),
+    st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3),
+    st.floats(0.0, 2.0),
+)
+@settings(max_examples=300)
+def test_ball_mass_matches_the_per_axis_formula_bit_for_bit(dim, lo, side, scale_frac, fracs, r):
+    """ball_mass equals the per-axis product of clipped window over side, in axis order, and
+    1 for an atom; radii up to 2 reach past the cube, whose scaled diameter is at most 1."""
+    hi = lo + side
+    c = scale_frac / max(side, 1.0)
+    meta = dr.make_box_meta(dim, lo=lo, hi=hi, distance_scale=c)
+    theta = tuple(lo + u * side for u in fracs[:dim])
+    want = 1.0
+    for t in theta:
+        if hi - lo > 0:
+            want *= max(min(t + r / c, hi) - max(t - r / c, lo), 0.0) / (hi - lo)
+    assert dr.ball_mass(meta, dr.DistributionHandle(theta), r).hex() == want.hex()
 
 
 def test_sup_distances_vectorization():
