@@ -13,8 +13,8 @@
 #    records for that seed, and its setup_s and peak_rss_mb are printed, so an
 #    import or memory regression shows here too.  It reads perfbench and
 #    changes nothing in it.
-# Then it prints the source line total (src/distreg/*.py plus
-# scripts/run_all.py) that ROADMAP.md tracks.
+# Then it prints the source line count of each file (src/distreg/*.py plus
+# scripts/run_all.py) and their total, which ROADMAP.md tracks.
 set -euo pipefail
 
 ROOT=$(cd "$(dirname "$0")/.." && pwd)
@@ -50,5 +50,6 @@ for name, baseline in recorded.items():
     print(f"check.sh: {name} at seed 101 is correct, rows_sha256 as recorded; setup_s {setup_s:.2f}, peak_rss_mb {peak_rss_mb:.1f}")
 PY
 
+wc -l src/distreg/*.py scripts/run_all.py
 echo "check.sh: source lines: $(cat src/distreg/*.py scripts/run_all.py | wc -l)"
 echo "check.sh: all checks passed"

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -52,8 +53,8 @@ class GridSpec:
             raise ValueError("lo and hi must have equal length, 1 <= dim <= 3")
         if not all(-math.inf < a < b < math.inf for a, b in zip(lo, hi)):
             raise ValueError("grid requires finite lo < hi componentwise")
-        if self.points_per_axis < 2:
-            raise ValueError("points_per_axis must be >= 2")
+        if not (isinstance(self.points_per_axis, numbers.Integral) and self.points_per_axis >= 2):
+            raise ValueError(f"points_per_axis must be an integer >= 2, got {self.points_per_axis!r}")
 
     @property
     def dim(self) -> int:

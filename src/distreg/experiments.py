@@ -19,8 +19,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from .density_distance import default_points_per_axis
-from .kernels import KERNELS, KernelSpec, kde_fit
+from .density_distance import GridSpec
+from .kernels import KERNELS, kde_fit
 from .meta_world import MetaDistribution, draw_distribution, draw_samples, oracle_label
 from .regression import (
     adaptive_closest_point,
@@ -168,7 +168,7 @@ _COUNT_FIELDS = ("trials", "d_list", "m_list", "i_max", "n", "m", "max_iter", "c
 
 
 def _check_ranges(config: ExperimentConfig) -> None:
-    """Reject counts < 1, a seed < 0 and h, epsilon not > 0; check the run's metas, grid, draw budget, calibration."""
+    """Reject counts < 1, a seed < 0 and h, epsilon not > 0, then build the run's plan."""
     if config.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {config.seed!r}")
     for key in _COUNT_FIELDS:
@@ -181,27 +181,37 @@ def _check_ranges(config: ExperimentConfig) -> None:
         value = getattr(config, key)
         if value is not None and not 0 < value < math.inf:
             raise ConfigError(f"{key} must be finite and > 0, got {value!r}")
-    # The theory sweeps build one meta per entry of d_list; the estimator experiments build
-    # the configured meta and a quadrature grid in its dimension.
-    sweep = "d_list" in DEFAULTS[config.experiment]
     try:
-        for dim in config.d_list if sweep else [None]:
-            meta = _meta(config, dim)
-        if not sweep:
-            default_points_per_axis(meta.dim)
+        _plan(config)
     except ValueError as exc:
-        raise ConfigError(f"invalid meta description: {exc}") from exc
-    if config.experiment == "adaptive_regression" and config.max_iter is None:
-        try:
-            default_max_iter(config.epsilon, meta.lipschitz_const, meta.dim)
-        except ValueError as exc:
-            raise ConfigError(f"invalid max_iter: {exc}") from exc
-    calibration = _calibration(config, meta)
+        raise ConfigError(f"invalid config: {exc}") from exc
+
+
+def _plan(config: ExperimentConfig) -> tuple[list[MetaDistribution], GridSpec | None, int | None, dict | None]:
+    """What the run builds before its first draw: (metas, grid, max_iter, calibration); ValueError if it cannot.
+
+    A theory sweep gets one meta per entry of d_list and None for the rest.  An estimator run
+    gets the configured meta, its quadrature grid, the adaptive draw budget and the keyword
+    arguments of its calibrate_sample_size call, each None where the run has none.
+    """
+    if "d_list" in DEFAULTS[config.experiment]:
+        if "dim" in config.meta:
+            raise ValueError("a theory sweep takes its dims from d_list; meta must not set dim")
+        return [MetaDistribution(**config.meta, dim=d) for d in config.d_list], None, None, None
+    meta = MetaDistribution(**config.meta)
+    grid = family_grid(meta, 16 if config.experiment == "calibrate" else min(config.n or 16, 16))
+    max_iter = calibration = None
+    if config.experiment == "adaptive_regression":
+        max_iter = config.max_iter or default_max_iter(config.epsilon, meta.lipschitz_const, meta.dim)
+        if config.n is None:
+            target_err = config.epsilon / (9.0 * meta.lipschitz_const)
+            calibration = dict(target_err=target_err, trials=config.calibration_trials)
+    elif config.experiment == "calibrate":
+        calibration = dict(target_err=config.target_err, trials=config.trials)
     if calibration is not None:
-        try:
-            check_calibration(**calibration)
-        except ValueError as exc:
-            raise ConfigError(f"invalid calibration: {exc}") from exc
+        calibration.update(confidence=config.confidence, grid=grid)
+        check_calibration(**calibration)
+    return [meta], grid, max_iter, calibration
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -257,14 +267,6 @@ def _rng(seed: int, *path: int) -> np.random.Generator:
     return np.random.default_rng([seed, *path])
 
 
-def _meta(config: ExperimentConfig, dim: int | None = None) -> MetaDistribution:
-    """The config's meta-distribution; a sweep's dim replaces the configured one."""
-    kwargs = dict(config.meta)
-    if dim is not None:
-        kwargs["dim"] = dim
-    return MetaDistribution(**kwargs)
-
-
 # ---------------------------------------------------------------------------
 # experiment bodies
 # ---------------------------------------------------------------------------
@@ -275,9 +277,8 @@ def _run_theorem1_scaling(config: ExperimentConfig):
     rows: list[tuple] = []
     slopes: dict[str, float] = {}
     ok = True
-    for di, d in enumerate(config.d_list):
-        meta = _meta(config, d)
-        s = meta.center()
+    for di, meta in enumerate(_plan(config)[0]):
+        d, s = meta.dim, meta.center()
         means = []
         for mi, m in enumerate(config.m_list):
             mean, stderr = expected_min_distance(meta, s, m, config.trials, _rng(config.seed, di, mi))
@@ -298,8 +299,8 @@ def _run_small_ball(config: ExperimentConfig):
     rows: list[tuple] = []
     ok = True
     max_sigma_dev = 0.0
-    for di, d in enumerate(config.d_list):
-        meta = _meta(config, d)
+    for di, meta in enumerate(_plan(config)[0]):
+        d = meta.dim
         report = check_small_ball_bound(meta, meta.center(), config.i_max, config.trials, _rng(config.seed, di))
         for i in range(config.i_max + 1):
             rows.append(
@@ -317,9 +318,8 @@ def _run_lemma1(config: ExperimentConfig):
     header = "d,m,lhs,rhs,stderr,holds"
     rows: list[tuple] = []
     ok = True
-    for di, d in enumerate(config.d_list):
-        meta = _meta(config, d)
-        s = meta.center()
+    for di, meta in enumerate(_plan(config)[0]):
+        d, s = meta.dim, meta.center()
         for mi, m in enumerate(config.m_list):
             res = lemma1_sums(d, m, config.i_max, config.trials, meta, s, _rng(config.seed, di, mi))
             rows.append((d, m, res.lhs, res.rhs, res.stderr, res.holds))
@@ -327,34 +327,16 @@ def _run_lemma1(config: ExperimentConfig):
     return header, rows, {}, ok
 
 
-def _calibration(config: ExperimentConfig, meta: MetaDistribution) -> dict | None:
-    """target_err, confidence, grid and trials of the run's calibrate_sample_size call; None if none."""
-    if config.experiment == "calibrate":
-        target_err, trials = config.target_err, config.trials
-    elif config.experiment == "adaptive_regression" and config.n is None:
-        target_err, trials = config.epsilon / (9.0 * meta.lipschitz_const), config.calibration_trials
-    else:
-        return None
-    return dict(target_err=target_err, confidence=config.confidence, grid=family_grid(meta, 16), trials=trials)
-
-
-def _calibrate(config: ExperimentConfig, meta: MetaDistribution, kernel: KernelSpec):
-    """calibrate_sample_size with the run's arguments and the config's seed."""
-    return calibrate_sample_size(meta, rng=_rng(config.seed, 0), kernel=kernel, **_calibration(config, meta))
-
-
 def _run_adaptive_regression(config: ExperimentConfig):
     header = "trial,label,truth,abs_err,iterations,samples_drawn,converged"
-    meta = _meta(config)
+    (meta,), grid, max_iter, calibration = _plan(config)
     lipschitz = meta.lipschitz_const
     epsilon = config.epsilon
     kernel = KERNELS[config.kernel]
-    n, calibration = config.n, None
-    if n is None:
-        calibration = _calibrate(config, meta, kernel)
-        n = calibration.n
-    grid = family_grid(meta, min(n, 16))
-    max_iter = config.max_iter or default_max_iter(epsilon, lipschitz, meta.dim)
+    n, calibrated = config.n, None
+    if calibration is not None:
+        calibrated = calibrate_sample_size(meta, rng=_rng(config.seed, 0), kernel=kernel, **calibration)
+        n = calibrated.n
 
     def one_trial(t: int) -> tuple:
         rng = _rng(config.seed, 1, t)
@@ -370,7 +352,7 @@ def _run_adaptive_regression(config: ExperimentConfig):
     success_rate = len(hits) / len(converged) if converged else 0.0
     summary = {
         "n": n,
-        "calibration_capped": bool(calibration.capped) if calibration else None,
+        "calibration_capped": bool(calibrated.capped) if calibrated else None,
         "converged_rate": len(converged) / len(rows),
         "success_rate": success_rate,
         "median_iterations": float(np.median([r[4] for r in rows])),
@@ -381,9 +363,8 @@ def _run_adaptive_regression(config: ExperimentConfig):
 
 def _run_kernel_kernel_baseline(config: ExperimentConfig):
     header = "trial,estimate,truth,abs_err,m,n"
-    meta = _meta(config)
+    (meta,), grid, _, _ = _plan(config)
     kernel = KERNELS[config.kernel]
-    grid = family_grid(meta, min(config.n, 16))
 
     def one_trial(t: int) -> tuple:
         rng = _rng(config.seed, 1, t)
@@ -396,16 +377,14 @@ def _run_kernel_kernel_baseline(config: ExperimentConfig):
         return (t, pred, truth, abs(pred - truth), config.m, config.n)
 
     rows = _map_trials(one_trial, config.trials)
-    labels_ok = True
-    for t, pred, truth, err, m, n in rows:
-        labels_ok &= np.isfinite(pred)
     summary = {"mean_abs_err": float(np.mean([r[3] for r in rows]))}
-    return header, rows, summary, bool(labels_ok)
+    return header, rows, summary, all(np.isfinite(r[1]) for r in rows)
 
 
 def _run_calibrate(config: ExperimentConfig):
     header = "candidate_n,mean_l1,stderr,passed"
-    result = _calibrate(config, _meta(config), KERNELS[config.kernel])
+    (meta,), _, _, calibration = _plan(config)
+    result = calibrate_sample_size(meta, rng=_rng(config.seed, 0), kernel=KERNELS[config.kernel], **calibration)
     rows = [tuple(entry) for entry in result.history]
     summary = {"n": result.n, "capped": result.capped}
     return header, rows, summary, not result.capped

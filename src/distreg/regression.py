@@ -123,7 +123,11 @@ def kernel_kernel_estimate(
 
 
 def default_max_iter(epsilon: float, lipschitz: float, dim: int) -> int:
-    """Draw budget heuristic: 10 times the (6L/epsilon)^d coverage scale; ValueError if not finite."""
+    """Draw budget heuristic: 10 times the (6L/epsilon)^d coverage scale; ValueError on bad input or overflow."""
+    if not (0 < epsilon < math.inf and 0 < lipschitz < math.inf):
+        raise ValueError(f"epsilon and lipschitz must be finite and > 0, got {epsilon!r} and {lipschitz!r}")
+    if not dim >= 1:
+        raise ValueError(f"dim must be >= 1, got {dim!r}")
     try:
         return math.ceil(10.0 * (6.0 * lipschitz / epsilon) ** dim)
     except OverflowError:

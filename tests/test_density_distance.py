@@ -108,6 +108,10 @@ def test_grid_validation():
         GridSpec(lo=(0.0, 0.0, 0.0, 0.0), hi=(1.0, 1.0, 1.0, 1.0), points_per_axis=8)
     with pytest.raises(ValueError):
         GridSpec(lo=(0.0,), hi=(1.0,), points_per_axis=1)
+    # A non-integral count used to construct and fail later in mesh() with a TypeError.
+    for points in (2.5, 8.0, True):
+        with pytest.raises(ValueError, match="integer"):
+            GridSpec(lo=(0.0,), hi=(1.0,), points_per_axis=points)
     for lo, hi in [((-np.inf,), (0.0,)), ((0.0,), (np.inf,)), ((np.nan,), (0.0,)), ((0.0, -np.inf), (1.0, 1.0))]:
         with pytest.raises(ValueError, match="finite"):
             GridSpec(lo=lo, hi=hi, points_per_axis=8)

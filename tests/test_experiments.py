@@ -250,6 +250,9 @@ def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
         ("lemma1", "seed: -1\n", "seed must be >= 0"),
         ("adaptive_regression", "n: 16\nepsilon: 1.0e-120\nmeta: {dim: 3}\n", "default max_iter"),
         ("small_ball", "d_list: [0]\n", "d_list must be a non-empty list of ints >= 1"),
+        ("small_ball", "meta: {dim: 99}\n", "takes its dims from d_list"),
+        ("lemma1", "meta: {dim: 1}\n", "takes its dims from d_list"),
+        ("theorem1_scaling", "meta: {dim: 2}\n", "takes its dims from d_list"),
         ("theorem1_scaling", "d_list: []\n", "d_list must be a non-empty list of ints >= 1"),
         ("lemma1", "m_list: [0, 4]\n", "m_list must be a non-empty list of ints >= 1"),
         ("kernel_kernel_baseline", "m: 0\n", "m must be >= 1"),

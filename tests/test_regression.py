@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -170,6 +171,13 @@ def test_adaptive_parameter_validation():
 def test_default_max_iter_heuristic():
     assert default_max_iter(0.2, 1.0, 1) == 300
     assert default_max_iter(0.2, 1.0, 2) == 9000
+    # Used to return -60, 0, 0 and to raise ZeroDivisionError.
+    bad = [(-1.0, 1.0, 1), (math.inf, 1.0, 1), (0.2, 0.0, 1), (0.0, 1.0, 1), (0.2, math.nan, 1), (0.2, 1.0, 0)]
+    for args in bad:
+        with pytest.raises(ValueError):
+            default_max_iter(*args)
+    with pytest.raises(ValueError, match="default max_iter"):
+        default_max_iter(1e-120, 1.0, 3)
 
 
 def test_family_grid_covers_member_estimates():

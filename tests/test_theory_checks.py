@@ -163,6 +163,16 @@ def test_lemma1_rejects_d_below_meta_dimension():
     meta = unit_meta(2)
     with pytest.raises(ValueError):
         dr.lemma1_sums(1, 4, 40, 10, meta, meta.center(), np.random.default_rng(0))
+    # i_max < 1 used to give lhs = rhs = 0 and holds, a pass over no terms; it fails before any draw.
+    meta1 = unit_meta(1)
+    for i_max in (0, -1):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError, match="i_max"):
+            dr.lemma1_sums(1, 4, i_max, 10, meta1, meta1.center(), rng)
+        assert rng.bit_generator.state == state
+        with pytest.raises(ValueError, match="i_max"):
+            lemma1_rhs(1, 4, i_max)
 
 
 def test_dyadic_check_degenerate_inputs():
