@@ -60,11 +60,9 @@ class GridSpec:
     def dim(self) -> int:
         return len(self.lo)
 
-    def axes(self) -> list[np.ndarray]:
-        return [
-            np.linspace(a, b, self.points_per_axis)
-            for a, b in zip(self.lo, self.hi)
-        ]
+    def axes(self) -> tuple[np.ndarray, ...]:
+        """The read-only node coordinates of each axis, built once per grid; mesh() is their product."""
+        return self._axes
 
     def mesh(self) -> np.ndarray:
         """All grid nodes as a read-only (N, dim) array in C order, built once per grid."""
@@ -73,6 +71,10 @@ class GridSpec:
     def quadrature_weights(self) -> np.ndarray:
         """Read-only composite-trapezoid node weights, flattened to match mesh()."""
         return self._weights
+
+    @cached_property
+    def _axes(self) -> tuple[np.ndarray, ...]:
+        return tuple(_read_only(np.linspace(a, b, self.points_per_axis)) for a, b in zip(self.lo, self.hi))
 
     @cached_property
     def _mesh(self) -> np.ndarray:
@@ -126,7 +128,7 @@ def grid_values(est: DensityEstimate, grid: GridSpec) -> np.ndarray:
             raise GridCoverageError(
                 f"compact support [{lo}, {hi}] escapes grid [{grid.lo}, {grid.hi}]"
             )
-    return kde_eval_many(est, grid.mesh())
+    return kde_eval_many(est, grid.mesh(), axes=grid.axes())
 
 
 def grid_integral(est: DensityEstimate, grid: GridSpec) -> float:

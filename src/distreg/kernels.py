@@ -181,13 +181,32 @@ _TILE_ELEMENTS = 2**15
 _SUPPORT_MARGIN = 1e-9
 
 
-def _rows_in_support(est: DensityEstimate, x: np.ndarray) -> np.ndarray | slice:
-    """Mask of the query rows that can see a sample; every row for the gaussian."""
+def _support_limits(est: DensityEstimate) -> tuple[np.ndarray, np.ndarray] | None:
+    """Corners of the widened support box of a compact kernel; None for the gaussian."""
     if not math.isfinite(est.kernel.support_radius):
-        return slice(None)
+        return None
     lo, hi = est.support_box()
     pad = _SUPPORT_MARGIN * np.maximum(np.abs(lo), np.abs(hi))
-    return ((x >= lo - pad) & (x <= hi + pad)).all(axis=1)
+    return lo - pad, hi + pad
+
+
+def _rows_in_support(est: DensityEstimate, x: np.ndarray) -> np.ndarray | slice:
+    """Mask of the query rows that can see a sample; every row for the gaussian."""
+    limits = _support_limits(est)
+    if limits is None:
+        return slice(None)
+    return ((x >= limits[0]) & (x <= limits[1])).all(axis=1)
+
+
+def _sum_rows(u: np.ndarray, b: float, profile, scale: float, out: np.ndarray) -> None:
+    """out = scale * (sum over each row of profile(sqrt(u) / b)) for a (rows, samples) tile of squared distances.
+
+    The float chain both tiled paths share, in the reference's order; u is overwritten.
+    """
+    np.sqrt(u, out=u)
+    np.divide(u, b, out=u)
+    profile(u)
+    np.multiply(u.sum(axis=1), scale, out=out)
 
 
 def _eval_dense(est: DensityEstimate, x: np.ndarray) -> np.ndarray:
@@ -218,13 +237,62 @@ def _eval_dense(est: DensityEstimate, x: np.ndarray) -> np.ndarray:
             diff = diff_buf[: u.size * dim].reshape(*u.shape, dim)
             np.subtract(qt[:, None, :], est.points[None, :, :], out=diff)
             np.einsum("qjk,qjk->qj", diff, diff, out=u)
-        np.sqrt(u, out=u)
-        np.divide(u, b, out=u)
-        profile(u)
-        np.multiply(u.sum(axis=1), scale, out=values[first : first + tile])
+        _sum_rows(u, b, profile, scale, out=values[first : first + tile])
     out = np.zeros(x.shape[0])
     out[rows] = values
     return out
+
+
+# The order in which the grid path adds the per-axis squares: the order in
+# which the dense path's einsum("qjk,qjk->qj") sums its products (numpy 2.4
+# adds three as (0 + 2) + 1), so that every u equals the dense path's.
+_ADD_ORDER = {2: (0, 1), 3: (0, 2, 1)}
+
+
+def _eval_grid(est: DensityEstimate, axes: list[np.ndarray]) -> np.ndarray:
+    """Density at every node of the product of axes (flattened, C order), for dim 2 or 3.
+
+    Equals the dense path at the mesh bit for bit.  Each axis's squared
+    differences to the samples are computed once, and each node's squared
+    distance is their sum, in the dense path's order.  For the compact
+    kernels the nodes outside the support box are 0: per axis the box
+    keeps the nodes that _rows_in_support keeps on the mesh.
+    """
+    b, dim, n = est.bandwidth, est.dim, est.count
+    scale = 1.0 / (n * radial_normalizer(est.kernel.kind, dim) * b**dim)
+    limits = _support_limits(est)
+    boxes = [slice(None)] * dim
+    if limits is not None:
+        boxes = [slice(np.searchsorted(a, lo), np.searchsorted(a, hi, "right")) for a, lo, hi in zip(axes, *limits)]
+    squares = [np.subtract.outer(axis[box], est.points[:, k]) for k, (axis, box) in enumerate(zip(axes, boxes))]
+    for sq in squares:
+        np.multiply(sq, sq, out=sq)
+    shape = tuple(sq.shape[0] for sq in squares)
+    # A tile is whole lines along the last axis, or one stretch of a line:
+    # about _TILE_ELEMENTS (node x sample) pairs, and at least one node.
+    tile = max(1, _TILE_ELEMENTS // n)
+    width = max(1, min(shape[-1], tile))
+    lines = max(1, tile // width)
+    heads = np.indices(shape[:-1]).reshape(dim - 1, -1)  # leading indices of each line
+    order = _ADD_ORDER[dim]
+    profile = _PROFILES[est.kernel.kind]
+    u_buf = np.empty(lines * width * n)
+    values = np.empty(math.prod(shape))  # the box's nodes in C order: a tile's are contiguous
+    for first in range(0, heads.shape[1], lines):
+        head = heads[:, first : first + lines]
+        for start in range(0, shape[-1], width):
+            terms = [sq[h][:, None, :] for sq, h in zip(squares, head)]
+            terms.append(squares[-1][None, start : start + width])
+            rows, cols = head.shape[1], terms[-1].shape[1]
+            u = u_buf[: rows * cols * n].reshape(rows, cols, n)
+            np.add(terms[order[0]], terms[order[1]], out=u)
+            for k in order[2:]:
+                np.add(u, terms[k], out=u)
+            node = first * shape[-1] + start
+            _sum_rows(u.reshape(rows * cols, n), b, profile, scale, out=values[node : node + rows * cols])
+    out = np.zeros([a.size for a in axes])
+    out[tuple(boxes)] = values.reshape(shape)
+    return out.ravel()
 
 
 def _eval_compact_1d(est: DensityEstimate, x: np.ndarray) -> np.ndarray:
@@ -257,12 +325,35 @@ def _immutable(x: np.ndarray) -> bool:
     return not x.flags.writeable and x.base is None
 
 
-def kde_eval_many(est: DensityEstimate, x) -> np.ndarray:
+def _grid_axes(axes, x: np.ndarray) -> list[np.ndarray]:
+    """The axes as float arrays, after checking that the rows of x, all finite, are their C-order product."""
+    dim = x.shape[1]
+    axes = [np.asarray(a, dtype=float) for a in axes]
+    if len(axes) != dim or any(a.ndim != 1 or a.size == 0 for a in axes):
+        raise ValueError(f"axes must be {dim} non-empty one-dimensional arrays")
+    if not all((a[1:] > a[:-1]).all() for a in axes):
+        raise ValueError("axes must be strictly increasing")
+    sizes = [a.size for a in axes]
+    if x.shape[0] != math.prod(sizes) or not all(
+        (x[:, k].reshape(sizes) == a.reshape([-1 if j == k else 1 for j in range(dim)])).all()
+        for k, a in enumerate(axes)
+    ):
+        raise ValueError("query points must be the C-order product of the axes")
+    return axes
+
+
+def kde_eval_many(est: DensityEstimate, x, *, axes=None) -> np.ndarray:
     """Evaluate the estimate at an (m, dim) array of query points.
 
-    A repeat call with the same read-only, data-owning query array (such as
-    ``GridSpec.mesh()``) copies the estimate's last result instead of
-    recomputing it; the returned array is always fresh and writable.
+    ``axes``, when given, are the dim strictly increasing, finite axes whose
+    C-order product is x (``GridSpec.axes()`` for ``GridSpec.mesh()``).  A
+    dim 2 or 3 estimate is then evaluated from per-axis squared distances,
+    with the same bits as without them, after a check that x is that product
+    (ValueError if not); a 1D estimate does not read them.  A repeat call
+    with the same read-only, data-owning query array (such as
+    ``GridSpec.mesh()``) copies the estimate's last result, the values at x,
+    instead of recomputing it, and reads neither x nor axes again; the
+    returned array is always fresh and writable.
     """
     x = np.asarray(x, dtype=float)
     last = est._last_eval[0]
@@ -276,6 +367,8 @@ def kde_eval_many(est: DensityEstimate, x) -> np.ndarray:
         raise ValueError("query points contain non-finite values (nan or inf)")
     if est.dim == 1 and math.isfinite(est.kernel.support_radius):
         values = _eval_compact_1d(est, x)
+    elif axes is not None and est.dim > 1:
+        values = _eval_grid(est, _grid_axes(axes, x))
     else:
         values = _eval_dense(est, x)
     if _immutable(x):

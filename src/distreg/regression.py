@@ -16,6 +16,7 @@ Two estimators:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -140,8 +141,11 @@ def family_grid(meta: MetaDistribution, n: int) -> GridSpec:
     Uniform members are contained exactly; gaussian members are covered out
     to eight standard deviations, ample for any realistic draw count.  The pad
     adds three plug-in bandwidths at the largest member spread, so that holds
-    for the estimates too, at n or more samples.
+    for the estimates too, at n or more samples.  ValueError unless n is an
+    integer >= 1.
     """
+    if not (isinstance(n, numbers.Integral) and n >= 1):
+        raise ValueError(f"n must be an integer >= 1, got {n!r}")
     # Hard spread bound for uniform members; generous tail bound for gaussian.
     sigma_cap = meta.base_width / 2.0 if meta.family == "uniform_location" else 3.0 * meta.base_width
     reach = meta.base_width / 2.0 if meta.family == "uniform_location" else 8.0 * meta.base_width

@@ -200,8 +200,8 @@ def lemma1_rhs(d: float, m: int, i_max: int) -> float:
     """Sum of 2^-i * ((1 - 2^(-(i+1)d))^m - (1 - 2^(-id))^m) for i = 0..i_max."""
     if not d >= 1:
         raise ValueError("d must be >= 1")
-    if i_max < 1:
-        raise ValueError("i_max must be >= 1")
+    if m < 1 or i_max < 1:
+        raise ValueError("m and i_max must be >= 1")
     total = 0.0
     for i in range(i_max + 1):
         inner = (1.0 - 2.0 ** (-(i + 1) * d)) ** m - (1.0 - 2.0 ** (-i * d)) ** m

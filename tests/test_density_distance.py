@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from distreg.density_distance import (
     default_grid,
     default_points_per_axis,
     grid_integral,
+    grid_values,
     l1_distance,
 )
 
@@ -135,6 +138,25 @@ def test_mesh_and_weights_are_built_once_and_read_only(dim):
     assert np.array_equal(mesh, fresh)
     trapezoid = [np.diff(a).mean() * np.r_[0.5, np.ones(7), 0.5] for a in axes]
     assert np.allclose(weights, np.prod(np.meshgrid(*trapezoid, indexing="ij"), axis=0).ravel(), rtol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_axes_are_built_once_and_read_only(dim):
+    """grid_values passes the axes with the mesh; repeat calls build no linspace."""
+    grid = GridSpec(lo=(-1.0, 0.0, 2.0)[:dim], hi=(1.0, 3.0, 2.5)[:dim], points_per_axis=9)
+    axes = grid.axes()
+    assert axes is grid.axes() and len(axes) == dim
+    for axis, lo, hi in zip(axes, grid.lo, grid.hi):
+        assert not axis.flags.writeable and np.array_equal(axis, np.linspace(lo, hi, 9))
+    with pytest.raises(ValueError):
+        axes[0][0] = 5.0
+    product = np.meshgrid(*axes, indexing="ij")
+    assert all(np.array_equal(grid.mesh()[:, k], g.ravel()) for k, g in enumerate(product))
+    rng = np.random.default_rng(dim)
+    estimates = [dr.kde_build(rng.uniform(0.0, 0.5, size=(5, dim)) + grid.lo, 0.2, dr.GAUSSIAN) for _ in range(2)]
+    grid_values(estimates[0], grid)
+    with mock.patch.object(np, "linspace", side_effect=AssertionError("linspace called")):
+        grid_values(estimates[1], grid)
 
 
 def test_grid_integral_of_exact_uniform():

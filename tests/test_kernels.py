@@ -1,6 +1,7 @@
 import math
 import sys
 import threading
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -10,6 +11,7 @@ from scipy.integrate import quad
 
 import distreg as dr
 from distreg import kernels
+from distreg.density_distance import grid_values
 from distreg.kernels import _eval_compact_1d, _eval_dense, radial_normalizer
 from distreg.regression import draw_labeled_dataset
 from kde_reference import reference_eval, reference_normalizer, reference_profile
@@ -259,6 +261,114 @@ def test_dense_path_does_not_depend_on_the_tile_size(kind, dim):
             assert np.array_equal(_eval_dense(est, x), expected), tile_elements
             if kind != "gaussian":  # a support that misses every query gives exact zeros
                 assert np.array_equal(_eval_dense(est, x + 100.0), np.zeros(x.shape[0]))
+
+
+def _grid_case(rng, kind, dim, n, layout):
+    """An estimate and a grid that covers its support; layout places the samples.
+
+    "spread": anywhere inside; "nodes": on grid nodes; "edge": on nodes, with
+    the bandwidth the distance to a node (u == 1 exactly, where the boxcar
+    counts the node); "gap": on one axis between two nodes, closer than a
+    bandwidth, so that a compact support box holds no node on that axis.
+    """
+    steps = rng.uniform(0.05, 0.5, size=dim if layout in ("spread", "gap") else 1) * np.ones(dim)
+    points_per_axis = int(rng.integers(5, 20)) if layout != "gap" else int(rng.integers(2, 5))
+    lo = rng.uniform(-5.0, 5.0, size=dim)
+    grid = dr.GridSpec(lo=tuple(lo), hi=tuple(lo + steps * (points_per_axis - 1)), points_per_axis=points_per_axis)
+    axes = grid.axes()
+    if layout == "spread":
+        b = float(rng.uniform(0.05, 0.3) * (grid.points_per_axis - 1) * steps.min())
+        points = rng.uniform(lo + 1.01 * b, np.asarray(grid.hi) - 1.01 * b, size=(n, dim))
+    elif layout == "gap":
+        b = float(0.2 * steps.min())
+        points = rng.uniform(lo + 1.01 * b, np.asarray(grid.hi) - 1.01 * b, size=(n, dim))
+        k = int(rng.integers(0, dim))
+        points[:, k] = axes[k][0] + steps[k] * rng.uniform(0.45, 0.55, size=n)
+    else:
+        reach = int(rng.integers(1, 3)) if points_per_axis >= 7 else 1
+        nodes = rng.integers(reach + 1, points_per_axis - reach - 1, size=(n, dim))
+        points = np.stack([axes[k][nodes[:, k]] for k in range(dim)], axis=1)
+        k, j = int(rng.integers(0, dim)), int(nodes[0, 0])
+        b = float(axes[k][j + reach] - axes[k][j]) if layout == "edge" else float(rng.uniform(0.3, 1.0) * steps.min())
+    return dr.kde_build(points, b, dr.KERNELS[kind]), grid
+
+
+@given(
+    kind=st.sampled_from(list(dr.KERNELS)),
+    dim=st.integers(2, 3),
+    n=st.sampled_from([1, 2, 7, 8, 13, 64, 100]),
+    layout=st.sampled_from(["spread", "nodes", "edge", "gap"]),
+    one_node_tiles=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_grid_values_equal_the_reference_bit_for_bit(kind, dim, n, layout, one_node_tiles, seed):
+    """The grid path sums the per-axis squares in the reference's order: every value has the reference's bits."""
+    est, grid = _grid_case(np.random.default_rng(seed), kind, dim, n, layout)
+    expected = reference_eval(est, grid.mesh())
+    with mock.patch.object(kernels, "_TILE_ELEMENTS", 1 if one_node_tiles else kernels._TILE_ELEMENTS):
+        assert np.array_equal(grid_values(est, grid), expected)
+        assert np.array_equal(dr.kde_eval_many(est, grid.mesh(), axes=grid.axes()), expected)
+
+
+def test_grid_cases_reach_the_boxcar_edge_and_empty_boxes():
+    """The property's layouts reach u == 1 for the boxcar and compact supports that miss every node on an axis."""
+    rng = np.random.default_rng(3)
+    est, grid = _grid_case(rng, "boxcar", 2, 1, "edge")
+    u = np.sqrt(((grid.mesh() - est.points[0]) ** 2).sum(axis=1)) / est.bandwidth
+    assert np.any(u == 1.0)
+    est, grid = _grid_case(rng, "epanechnikov", 3, 7, "gap")
+    assert not np.any(grid_values(est, grid))
+    # A support outside the grid on one axis, where grid_values would refuse it.
+    far = dr.kde_build(est.points + [0.0, 0.0, 100.0], est.bandwidth, dr.EPANECHNIKOV)
+    assert np.array_equal(dr.kde_eval_many(far, grid.mesh(), axes=grid.axes()), np.zeros(grid.mesh().shape[0]))
+
+
+def test_grid_path_tiles_never_hold_a_plane():
+    """At n samples a tile holds max(2**15 // n, 1) nodes: a 3D tile of a whole plane would need 8 MB here."""
+    rng = np.random.default_rng(4)
+    n = 2**14
+    grid = dr.GridSpec(lo=(-3.0,) * 3, hi=(3.0,) * 3, points_per_axis=8)
+    est = dr.kde_build(rng.uniform(-1.0, 1.0, size=(n, 3)), 0.5, dr.GAUSSIAN)
+    expected = reference_eval(est, grid.mesh())
+    tracemalloc.start()
+    try:
+        values = dr.kde_eval_many(est, grid.mesh(), axes=grid.axes())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(values, expected)
+    squares = 3 * 8 * n * 8  # one (nodes on the axis x samples) table per axis
+    assert peak < squares + 2**20, peak
+
+
+def test_grid_axes_are_checked_at_the_boundary():
+    """axes must be est.dim increasing 1D arrays whose C-order product is the query array."""
+    rng = np.random.default_rng(6)
+    est = dr.kde_build(rng.normal(0.0, 1.0, size=(9, 2)), 0.8, dr.EPANECHNIKOV)
+    grid = dr.GridSpec(lo=(-4.0, -3.0), hi=(4.0, 5.0), points_per_axis=6)
+    mesh, (a0, a1) = grid.mesh(), grid.axes()
+    expected = reference_eval(est, mesh)
+    assert np.array_equal(dr.kde_eval_many(est, mesh, axes=[list(a0), list(a1)]), expected)
+    est = dr.kde_build(est.points, est.bandwidth, est.kernel)  # no memo: every call below reads its axes
+    swapped = mesh[:, ::-1].copy()  # the nodes of the swapped axes, not in their C order
+    cases = {
+        "C-order product": [
+            (mesh + 0.25, (a0, a1)),
+            (mesh, (a1, a0)),
+            (swapped, (a1, a0)),
+            (mesh[::-1].copy(), (a0, a1)),
+            (mesh[:-6], (a0, a1)),
+        ],
+        "strictly increasing": [(mesh, (a0[::-1], a1)), (mesh, (np.r_[a0[:1], a0[:-1]], a1))],
+        "2 non-empty one-dimensional": [(mesh, (a0,)), (mesh, (a0, a1, a1)), (mesh, (a0[:, None], a1)), (mesh, (a0, []))],
+    }
+    for message, calls in cases.items():
+        for x, axes in calls:
+            with pytest.raises(ValueError, match=message):
+                dr.kde_eval_many(est, x, axes=axes)
+    with pytest.raises(ValueError, match="non-finite"):
+        dr.kde_eval_many(est, np.array([[0.0, np.inf]]), axes=([0.0], [np.inf]))
 
 
 def test_fast_path_matches_dense_path():

@@ -191,6 +191,14 @@ def test_family_grid_covers_member_estimates():
             l1_distance(est, est, grid)  # raises GridCoverageError on escape
 
 
+def test_family_grid_rejects_a_bad_sample_size():
+    # 0 used to raise ZeroDivisionError, -3 TypeError, and 2.5 built a grid.
+    for n in (0, -3, 2.5, 16.0, math.nan, "16"):
+        with pytest.raises(ValueError, match="integer >= 1"):
+            family_grid(META_1D, n)
+    assert family_grid(META_1D, np.int64(16)) == family_grid(META_1D, 16)
+
+
 @given(
     dim=st.integers(1, 3),
     n=st.integers(2, 4096),

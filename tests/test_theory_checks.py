@@ -173,6 +173,10 @@ def test_lemma1_rejects_d_below_meta_dimension():
         assert rng.bit_generator.state == state
         with pytest.raises(ValueError, match="i_max"):
             lemma1_rhs(1, 4, i_max)
+    # m = 0 used to give 0.0, a bound over no draws, as lemma1_sums does not allow.
+    for m in (0, -2):
+        with pytest.raises(ValueError, match="m and i_max"):
+            lemma1_rhs(1, m, 5)
 
 
 def test_dyadic_check_degenerate_inputs():
