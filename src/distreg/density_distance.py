@@ -128,7 +128,7 @@ def grid_values(est: DensityEstimate, grid: GridSpec) -> np.ndarray:
             raise GridCoverageError(
                 f"compact support [{lo}, {hi}] escapes grid [{grid.lo}, {grid.hi}]"
             )
-    return kde_eval_many(est, grid.mesh(), axes=grid.axes())
+    return kde_eval_many(est, grid=grid)
 
 
 def grid_integral(est: DensityEstimate, grid: GridSpec) -> float:

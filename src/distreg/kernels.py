@@ -174,10 +174,10 @@ def kde_build(samples, bandwidth: float, kernel: KernelSpec) -> DensityEstimate:
     return DensityEstimate(points=pts, bandwidth=float(bandwidth), kernel=kernel)
 
 
-# Query rows x samples per tile of the dense path's scratch buffers.
+# Query rows x samples per tile of the dense and grid paths' scratch buffers.
 _TILE_ELEMENTS = 2**15
-# Relative widening of the support box before rows outside it are skipped;
-# far above the rounding of the box corners and of the distances.
+# Relative widening of the support box before the rows or nodes outside it
+# are skipped; far above the rounding of the box corners and of the distances.
 _SUPPORT_MARGIN = 1e-9
 
 
@@ -243,55 +243,49 @@ def _eval_dense(est: DensityEstimate, x: np.ndarray) -> np.ndarray:
     return out
 
 
-# The order in which the grid path adds the per-axis squares: the order in
-# which the dense path's einsum("qjk,qjk->qj") sums its products (numpy 2.4
-# adds three as (0 + 2) + 1), so that every u equals the dense path's.
-_ADD_ORDER = {2: (0, 1), 3: (0, 2, 1)}
+def _squares(axis: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """(axis[i] - samples[j])**2 as an (axis nodes, samples) array, as the dense path rounds it."""
+    d = np.subtract.outer(axis, samples)
+    return np.multiply(d, d, out=d)
 
 
-def _eval_grid(est: DensityEstimate, axes: list[np.ndarray]) -> np.ndarray:
-    """Density at every node of the product of axes (flattened, C order), for dim 2 or 3.
+def _eval_grid(est: DensityEstimate, axes) -> np.ndarray:
+    """Density of a 2D estimate at every node of the product of two axes (flattened, C order).
 
-    Equals the dense path at the mesh bit for bit.  Each axis's squared
-    differences to the samples are computed once, and each node's squared
-    distance is their sum, in the dense path's order.  For the compact
-    kernels the nodes outside the support box are 0: per axis the box
-    keeps the nodes that _rows_in_support keeps on the mesh.
+    Equals the dense path at the mesh bit for bit: a node's squared distance
+    to a sample is d0**2 + d1**2, its axes' squared differences, which is
+    what the dense path's two-term einsum adds.  A tile is whole lines along
+    the second axis, or one stretch of a line, at the dense path's cap; its
+    squared differences are computed per tile, so memory does not grow with
+    the grid.  For the compact kernels the nodes outside the support box
+    are 0: per axis the box keeps the nodes that _rows_in_support keeps on
+    the mesh.
     """
-    b, dim, n = est.bandwidth, est.dim, est.count
-    scale = 1.0 / (n * radial_normalizer(est.kernel.kind, dim) * b**dim)
+    b, n = est.bandwidth, est.count
+    scale = 1.0 / (n * radial_normalizer(est.kernel.kind, 2) * b**2)
     limits = _support_limits(est)
-    boxes = [slice(None)] * dim
+    boxes = [slice(None)] * 2
     if limits is not None:
         boxes = [slice(np.searchsorted(a, lo), np.searchsorted(a, hi, "right")) for a, lo, hi in zip(axes, *limits)]
-    squares = [np.subtract.outer(axis[box], est.points[:, k]) for k, (axis, box) in enumerate(zip(axes, boxes))]
-    for sq in squares:
-        np.multiply(sq, sq, out=sq)
-    shape = tuple(sq.shape[0] for sq in squares)
-    # A tile is whole lines along the last axis, or one stretch of a line:
-    # about _TILE_ELEMENTS (node x sample) pairs, and at least one node.
-    tile = max(1, _TILE_ELEMENTS // n)
-    width = max(1, min(shape[-1], tile))
-    lines = max(1, tile // width)
-    heads = np.indices(shape[:-1]).reshape(dim - 1, -1)  # leading indices of each line
-    order = _ADD_ORDER[dim]
+    a0, a1 = (axis[box] for axis, box in zip(axes, boxes))
+    p0, p1 = est.points[:, 0], est.points[:, 1]
     profile = _PROFILES[est.kernel.kind]
+    tile = max(1, _TILE_ELEMENTS // n)
+    width = max(1, min(a1.size, tile))
+    lines = max(1, tile // width)
     u_buf = np.empty(lines * width * n)
-    values = np.empty(math.prod(shape))  # the box's nodes in C order: a tile's are contiguous
-    for first in range(0, heads.shape[1], lines):
-        head = heads[:, first : first + lines]
-        for start in range(0, shape[-1], width):
-            terms = [sq[h][:, None, :] for sq, h in zip(squares, head)]
-            terms.append(squares[-1][None, start : start + width])
-            rows, cols = head.shape[1], terms[-1].shape[1]
+    values = np.empty(a0.size * a1.size)  # the box's nodes in C order: a tile's are contiguous
+    for start in range(0, a1.size, width):
+        sq1 = _squares(a1[start : start + width], p1)
+        for first in range(0, a0.size, lines):
+            sq0 = _squares(a0[first : first + lines], p0)
+            rows, cols = sq0.shape[0], sq1.shape[0]
             u = u_buf[: rows * cols * n].reshape(rows, cols, n)
-            np.add(terms[order[0]], terms[order[1]], out=u)
-            for k in order[2:]:
-                np.add(u, terms[k], out=u)
-            node = first * shape[-1] + start
+            np.add(sq0[:, None, :], sq1[None, :, :], out=u)
+            node = first * a1.size + start
             _sum_rows(u.reshape(rows * cols, n), b, profile, scale, out=values[node : node + rows * cols])
-    out = np.zeros([a.size for a in axes])
-    out[tuple(boxes)] = values.reshape(shape)
+    out = np.zeros((axes[0].size, axes[1].size))
+    out[tuple(boxes)] = values.reshape(a0.size, a1.size)
     return out.ravel()
 
 
@@ -325,37 +319,21 @@ def _immutable(x: np.ndarray) -> bool:
     return not x.flags.writeable and x.base is None
 
 
-def _grid_axes(axes, x: np.ndarray) -> list[np.ndarray]:
-    """The axes as float arrays, after checking that the rows of x, all finite, are their C-order product."""
-    dim = x.shape[1]
-    axes = [np.asarray(a, dtype=float) for a in axes]
-    if len(axes) != dim or any(a.ndim != 1 or a.size == 0 for a in axes):
-        raise ValueError(f"axes must be {dim} non-empty one-dimensional arrays")
-    if not all((a[1:] > a[:-1]).all() for a in axes):
-        raise ValueError("axes must be strictly increasing")
-    sizes = [a.size for a in axes]
-    if x.shape[0] != math.prod(sizes) or not all(
-        (x[:, k].reshape(sizes) == a.reshape([-1 if j == k else 1 for j in range(dim)])).all()
-        for k, a in enumerate(axes)
-    ):
-        raise ValueError("query points must be the C-order product of the axes")
-    return axes
+def kde_eval_many(est: DensityEstimate, x=None, *, grid=None) -> np.ndarray:
+    """Evaluate the estimate at an (m, dim) array of query points, or at every node of a grid.
 
-
-def kde_eval_many(est: DensityEstimate, x, *, axes=None) -> np.ndarray:
-    """Evaluate the estimate at an (m, dim) array of query points.
-
-    ``axes``, when given, are the dim strictly increasing, finite axes whose
-    C-order product is x (``GridSpec.axes()`` for ``GridSpec.mesh()``).  A
-    dim 2 or 3 estimate is then evaluated from per-axis squared distances,
-    with the same bits as without them, after a check that x is that product
-    (ValueError if not); a 1D estimate does not read them.  A repeat call
-    with the same read-only, data-owning query array (such as
-    ``GridSpec.mesh()``) copies the estimate's last result, the values at x,
-    instead of recomputing it, and reads neither x nor axes again; the
-    returned array is always fresh and writable.
+    Give exactly one of x and ``grid``, a ``GridSpec``: its values are those
+    at ``grid.mesh()``, in the same order.  On a grid a 2D estimate is
+    evaluated from per-axis squared differences, with the same bits as at
+    the mesh.  A repeat call with the same read-only, data-owning query
+    array (such as ``GridSpec.mesh()``, so also with the same grid) copies
+    the estimate's last result, the values at x, instead of recomputing it,
+    and does not read x again; the returned array is always fresh and
+    writable.
     """
-    x = np.asarray(x, dtype=float)
+    if (x is None) == (grid is None):
+        raise ValueError("give exactly one of x and grid")
+    x = np.asarray(grid.mesh() if grid is not None else x, dtype=float)
     last = est._last_eval[0]
     if last is not None and last[0] is x and _immutable(x):
         return last[1].copy()
@@ -367,8 +345,8 @@ def kde_eval_many(est: DensityEstimate, x, *, axes=None) -> np.ndarray:
         raise ValueError("query points contain non-finite values (nan or inf)")
     if est.dim == 1 and math.isfinite(est.kernel.support_radius):
         values = _eval_compact_1d(est, x)
-    elif axes is not None and est.dim > 1:
-        values = _eval_grid(est, _grid_axes(axes, x))
+    elif grid is not None and est.dim == 2:
+        values = _eval_grid(est, grid.axes())
     else:
         values = _eval_dense(est, x)
     if _immutable(x):

@@ -142,7 +142,7 @@ def test_mesh_and_weights_are_built_once_and_read_only(dim):
 
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_axes_are_built_once_and_read_only(dim):
-    """grid_values passes the axes with the mesh; repeat calls build no linspace."""
+    """The axes are built once, read-only, and mesh() is their product; repeat grid_values calls build no linspace."""
     grid = GridSpec(lo=(-1.0, 0.0, 2.0)[:dim], hi=(1.0, 3.0, 2.5)[:dim], points_per_axis=9)
     axes = grid.axes()
     assert axes is grid.axes() and len(axes) == dim

@@ -298,17 +298,15 @@ def _grid_case(rng, kind, dim, n, layout):
     dim=st.integers(2, 3),
     n=st.sampled_from([1, 2, 7, 8, 13, 64, 100]),
     layout=st.sampled_from(["spread", "nodes", "edge", "gap"]),
-    one_node_tiles=st.booleans(),
+    tile_elements=st.sampled_from([1, 64, kernels._TILE_ELEMENTS]),
     seed=st.integers(0, 2**32 - 1),
 )
 @settings(max_examples=80, deadline=None)
-def test_grid_values_equal_the_reference_bit_for_bit(kind, dim, n, layout, one_node_tiles, seed):
-    """The grid path sums the per-axis squares in the reference's order: every value has the reference's bits."""
+def test_grid_values_equal_the_reference_bit_for_bit(kind, dim, n, layout, tile_elements, seed):
+    """On a grid every value has the reference's bits, whatever the tile: one node, a stretch of a line or whole lines."""
     est, grid = _grid_case(np.random.default_rng(seed), kind, dim, n, layout)
-    expected = reference_eval(est, grid.mesh())
-    with mock.patch.object(kernels, "_TILE_ELEMENTS", 1 if one_node_tiles else kernels._TILE_ELEMENTS):
-        assert np.array_equal(grid_values(est, grid), expected)
-        assert np.array_equal(dr.kde_eval_many(est, grid.mesh(), axes=grid.axes()), expected)
+    with mock.patch.object(kernels, "_TILE_ELEMENTS", tile_elements):
+        assert np.array_equal(grid_values(est, grid), reference_eval(est, grid.mesh()))
 
 
 def test_grid_cases_reach_the_boxcar_edge_and_empty_boxes():
@@ -317,58 +315,50 @@ def test_grid_cases_reach_the_boxcar_edge_and_empty_boxes():
     est, grid = _grid_case(rng, "boxcar", 2, 1, "edge")
     u = np.sqrt(((grid.mesh() - est.points[0]) ** 2).sum(axis=1)) / est.bandwidth
     assert np.any(u == 1.0)
-    est, grid = _grid_case(rng, "epanechnikov", 3, 7, "gap")
+    est, grid = _grid_case(rng, "epanechnikov", 2, 7, "gap")
     assert not np.any(grid_values(est, grid))
     # A support outside the grid on one axis, where grid_values would refuse it.
-    far = dr.kde_build(est.points + [0.0, 0.0, 100.0], est.bandwidth, dr.EPANECHNIKOV)
-    assert np.array_equal(dr.kde_eval_many(far, grid.mesh(), axes=grid.axes()), np.zeros(grid.mesh().shape[0]))
+    far = dr.kde_build(est.points + [0.0, 100.0], est.bandwidth, dr.EPANECHNIKOV)
+    assert np.array_equal(dr.kde_eval_many(far, grid=grid), np.zeros(grid.mesh().shape[0]))
 
 
-def test_grid_path_tiles_never_hold_a_plane():
-    """At n samples a tile holds max(2**15 // n, 1) nodes: a 3D tile of a whole plane would need 8 MB here."""
+def test_grid_path_memory_stays_at_the_tile_cap():
+    """At n samples a tile holds max(2**15 // n, 1) nodes: a tile of the whole grid, or per-axis tables, would need 4 MB or more here."""
     rng = np.random.default_rng(4)
     n = 2**14
-    grid = dr.GridSpec(lo=(-3.0,) * 3, hi=(3.0,) * 3, points_per_axis=8)
-    est = dr.kde_build(rng.uniform(-1.0, 1.0, size=(n, 3)), 0.5, dr.GAUSSIAN)
+    grid = dr.GridSpec(lo=(-3.0,) * 2, hi=(3.0,) * 2, points_per_axis=16)
+    est = dr.kde_build(rng.uniform(-1.0, 1.0, size=(n, 2)), 0.5, dr.GAUSSIAN)
     expected = reference_eval(est, grid.mesh())
     tracemalloc.start()
     try:
-        values = dr.kde_eval_many(est, grid.mesh(), axes=grid.axes())
+        values = dr.kde_eval_many(est, grid=grid)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert np.array_equal(values, expected)
-    squares = 3 * 8 * n * 8  # one (nodes on the axis x samples) table per axis
-    assert peak < squares + 2**20, peak
+    assert peak < 2**20, peak
 
 
-def test_grid_axes_are_checked_at_the_boundary():
-    """axes must be est.dim increasing 1D arrays whose C-order product is the query array."""
+def test_kde_eval_many_takes_points_or_a_grid():
+    """Exactly one of x and grid; only a 2D estimate on a grid skips the dense path."""
     rng = np.random.default_rng(6)
     est = dr.kde_build(rng.normal(0.0, 1.0, size=(9, 2)), 0.8, dr.EPANECHNIKOV)
     grid = dr.GridSpec(lo=(-4.0, -3.0), hi=(4.0, 5.0), points_per_axis=6)
-    mesh, (a0, a1) = grid.mesh(), grid.axes()
-    expected = reference_eval(est, mesh)
-    assert np.array_equal(dr.kde_eval_many(est, mesh, axes=[list(a0), list(a1)]), expected)
-    est = dr.kde_build(est.points, est.bandwidth, est.kernel)  # no memo: every call below reads its axes
-    swapped = mesh[:, ::-1].copy()  # the nodes of the swapped axes, not in their C order
-    cases = {
-        "C-order product": [
-            (mesh + 0.25, (a0, a1)),
-            (mesh, (a1, a0)),
-            (swapped, (a1, a0)),
-            (mesh[::-1].copy(), (a0, a1)),
-            (mesh[:-6], (a0, a1)),
-        ],
-        "strictly increasing": [(mesh, (a0[::-1], a1)), (mesh, (np.r_[a0[:1], a0[:-1]], a1))],
-        "2 non-empty one-dimensional": [(mesh, (a0,)), (mesh, (a0, a1, a1)), (mesh, (a0[:, None], a1)), (mesh, (a0, []))],
-    }
-    for message, calls in cases.items():
-        for x, axes in calls:
-            with pytest.raises(ValueError, match=message):
-                dr.kde_eval_many(est, x, axes=axes)
-    with pytest.raises(ValueError, match="non-finite"):
-        dr.kde_eval_many(est, np.array([[0.0, np.inf]]), axes=([0.0], [np.inf]))
+    for args, kwargs in (((), {}), ((grid.mesh(),), {"grid": grid})):
+        with pytest.raises(ValueError, match="exactly one of x and grid"):
+            dr.kde_eval_many(est, *args, **kwargs)
+    with pytest.raises(ValueError, match="dimension 2"):
+        dr.kde_eval_many(est, grid=dr.GridSpec(lo=(0.0,) * 3, hi=(1.0,) * 3, points_per_axis=4))
+    expected = reference_eval(est, grid.mesh())
+    with mock.patch.object(kernels, "_eval_dense", side_effect=AssertionError("dense path")):
+        assert np.array_equal(dr.kde_eval_many(est, grid=grid), expected)
+    dense = mock.Mock(wraps=_eval_dense)
+    with mock.patch.object(kernels, "_eval_dense", dense):
+        assert np.array_equal(dr.kde_eval_many(est, grid.mesh().copy()), expected)
+        grid3 = dr.GridSpec(lo=(-4.0,) * 3, hi=(4.0,) * 3, points_per_axis=5)
+        est3 = dr.kde_build(rng.normal(0.0, 1.0, size=(9, 3)), 0.8, dr.GAUSSIAN)
+        assert np.array_equal(dr.kde_eval_many(est3, grid=grid3), reference_eval(est3, grid3.mesh()))
+    assert dense.call_count == 2
 
 
 def test_fast_path_matches_dense_path():
