@@ -134,8 +134,8 @@ class DensityEstimate:
         if self.points.ndim != 2 or self.points.size == 0:
             raise ValueError("points must be a non-empty (n, dim) array")
         radial_normalizer(self.kernel.kind, self.dim)  # rejects dim > 3
-        if not self.bandwidth > 0:
-            raise ValueError("bandwidth must be positive")
+        if not 0 < self.bandwidth < math.inf:
+            raise ValueError("bandwidth must be positive and finite")
 
     @property
     def dim(self) -> int:
@@ -176,26 +176,24 @@ def kde_build(samples, bandwidth: float, kernel: KernelSpec) -> DensityEstimate:
 
 # Query rows x samples per tile of the dense and grid paths' scratch buffers.
 _TILE_ELEMENTS = 2**15
-# Relative widening of the support box before the rows or nodes outside it
-# are skipped; far above the rounding of the box corners and of the distances.
+# Relative widening of the support box before the grid nodes outside it are
+# skipped; far above the rounding of the box corners and of the distances.
 _SUPPORT_MARGIN = 1e-9
 
 
-def _support_limits(est: DensityEstimate) -> tuple[np.ndarray, np.ndarray] | None:
-    """Corners of the widened support box of a compact kernel; None for the gaussian."""
-    if not math.isfinite(est.kernel.support_radius):
-        return None
-    lo, hi = est.support_box()
-    pad = _SUPPORT_MARGIN * np.maximum(np.abs(lo), np.abs(hi))
-    return lo - pad, hi + pad
+def _squared_distances(x: np.ndarray, points: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Squared distances from each row of x to each sample, as a (rows, samples) array (written into out if given).
 
-
-def _rows_in_support(est: DensityEstimate, x: np.ndarray) -> np.ndarray | slice:
-    """Mask of the query rows that can see a sample; every row for the gaussian."""
-    limits = _support_limits(est)
-    if limits is None:
-        return slice(None)
-    return ((x >= limits[0]) & (x <= limits[1])).all(axis=1)
+    The per-axis squared differences are added in axis order,
+    ((d0**2 + d1**2) + d2**2): every path forms its squared distances here,
+    and tests/kde_reference.py writes the same order out.
+    """
+    out = np.subtract.outer(x[:, 0], points[:, 0], out=out)
+    np.multiply(out, out, out=out)
+    for k in range(1, x.shape[1]):
+        d = np.subtract.outer(x[:, k], points[:, k])
+        out += np.multiply(d, d, out=d)
+    return out
 
 
 def _sum_rows(u: np.ndarray, b: float, profile, scale: float, out: np.ndarray) -> None:
@@ -210,82 +208,69 @@ def _sum_rows(u: np.ndarray, b: float, profile, scale: float, out: np.ndarray) -
 
 
 def _eval_dense(est: DensityEstimate, x: np.ndarray) -> np.ndarray:
-    """Density at every query row, tile by tile; rows outside a compact support are 0.
+    """Density at every query row, tile by tile.
 
     Each row is summed over all samples, by the same float operations, in the
-    same order, as a single pass that materialises the whole (queries x
-    samples x dim) difference tensor.
+    same order, as a single pass over the whole (queries x samples) array of
+    squared distances.  A compact profile is an exact 0 outside its support,
+    so rows far from every sample need no special case.
     """
-    b, dim, n = est.bandwidth, est.dim, est.count
-    scale = 1.0 / (n * radial_normalizer(est.kernel.kind, dim) * b**dim)
-    rows = _rows_in_support(est, x)
-    q = x[rows]
+    b, n = est.bandwidth, est.count
+    scale = 1.0 / (n * radial_normalizer(est.kernel.kind, est.dim) * b**est.dim)
     profile = _PROFILES[est.kernel.kind]
     tile = max(1, _TILE_ELEMENTS // n)
-    # Flat buffers, reshaped per tile, keep every operand C-contiguous.
-    u_buf = np.empty(tile * n)
-    if dim > 1:
-        diff_buf = np.empty(u_buf.size * dim)
-    values = np.empty(q.shape[0])
-    for first in range(0, q.shape[0], tile):
-        qt = q[first : first + tile]
-        u = u_buf[: qt.shape[0] * n].reshape(qt.shape[0], n)
-        if dim == 1:  # diff * diff equals the one-term einsum bit for bit
-            np.subtract(qt, est.points[:, 0], out=u)
-            np.multiply(u, u, out=u)
-        else:
-            diff = diff_buf[: u.size * dim].reshape(*u.shape, dim)
-            np.subtract(qt[:, None, :], est.points[None, :, :], out=diff)
-            np.einsum("qjk,qjk->qj", diff, diff, out=u)
+    u_buf = np.empty(tile * n)  # flat, reshaped per tile, so every operand is C-contiguous
+    values = np.empty(x.shape[0])
+    for first in range(0, x.shape[0], tile):
+        qt = x[first : first + tile]
+        u = _squared_distances(qt, est.points, out=u_buf[: qt.shape[0] * n].reshape(qt.shape[0], n))
         _sum_rows(u, b, profile, scale, out=values[first : first + tile])
-    out = np.zeros(x.shape[0])
-    out[rows] = values
-    return out
-
-
-def _squares(axis: np.ndarray, samples: np.ndarray) -> np.ndarray:
-    """(axis[i] - samples[j])**2 as an (axis nodes, samples) array, as the dense path rounds it."""
-    d = np.subtract.outer(axis, samples)
-    return np.multiply(d, d, out=d)
+    return values
 
 
 def _eval_grid(est: DensityEstimate, axes) -> np.ndarray:
-    """Density of a 2D estimate at every node of the product of two axes (flattened, C order).
+    """Density of an estimate of dim >= 2 at every node of the product of its axes (flattened, C order).
 
     Equals the dense path at the mesh bit for bit: a node's squared distance
-    to a sample is d0**2 + d1**2, its axes' squared differences, which is
-    what the dense path's two-term einsum adds.  A tile is whole lines along
-    the second axis, or one stretch of a line, at the dense path's cap; its
-    squared differences are computed per tile, so memory does not grow with
-    the grid.  For the compact kernels the nodes outside the support box
-    are 0: per axis the box keeps the nodes that _rows_in_support keeps on
-    the mesh.
+    to a sample is its leading axes' squared distance plus the last axis'
+    squared difference, which is the dense path's sum in axis order.  A tile
+    is whole lines along the last axis, or one stretch of a line, at the
+    dense path's cap; its squared distances are computed per tile, so memory
+    does not grow with the grid.  For the compact kernels the nodes outside
+    the support box, widened by _SUPPORT_MARGIN, are 0: per axis only the
+    nodes inside it are evaluated.
     """
-    b, n = est.bandwidth, est.count
-    scale = 1.0 / (n * radial_normalizer(est.kernel.kind, 2) * b**2)
-    limits = _support_limits(est)
-    boxes = [slice(None)] * 2
-    if limits is not None:
-        boxes = [slice(np.searchsorted(a, lo), np.searchsorted(a, hi, "right")) for a, lo, hi in zip(axes, *limits)]
-    a0, a1 = (axis[box] for axis, box in zip(axes, boxes))
-    p0, p1 = est.points[:, 0], est.points[:, 1]
+    b, dim, n = est.bandwidth, est.dim, est.count
+    scale = 1.0 / (n * radial_normalizer(est.kernel.kind, dim) * b**dim)
+    boxes = [slice(None)] * dim
+    if math.isfinite(est.kernel.support_radius):
+        lo, hi = est.support_box()
+        pad = _SUPPORT_MARGIN * np.maximum(np.abs(lo), np.abs(hi))
+        boxes = [slice(np.searchsorted(a, l), np.searchsorted(a, h, "right")) for a, l, h in zip(axes, lo - pad, hi + pad)]
+    kept = [axis[box] for axis, box in zip(axes, boxes)]
+    # The leading axes' nodes in C order, one row each; the last axis runs along a line.
+    leading = kept[0][:, None]
+    for axis in kept[1:-1]:
+        leading = np.column_stack((np.repeat(leading, axis.size, axis=0), np.tile(axis, leading.shape[0])))
+    last = kept[-1]
     profile = _PROFILES[est.kernel.kind]
     tile = max(1, _TILE_ELEMENTS // n)
-    width = max(1, min(a1.size, tile))
+    width = max(1, min(last.size, tile))
     lines = max(1, tile // width)
     u_buf = np.empty(lines * width * n)
-    values = np.empty(a0.size * a1.size)  # the box's nodes in C order: a tile's are contiguous
-    for start in range(0, a1.size, width):
-        sq1 = _squares(a1[start : start + width], p1)
-        for first in range(0, a0.size, lines):
-            sq0 = _squares(a0[first : first + lines], p0)
-            rows, cols = sq0.shape[0], sq1.shape[0]
-            u = u_buf[: rows * cols * n].reshape(rows, cols, n)
-            np.add(sq0[:, None, :], sq1[None, :, :], out=u)
-            node = first * a1.size + start
-            _sum_rows(u.reshape(rows * cols, n), b, profile, scale, out=values[node : node + rows * cols])
-    out = np.zeros((axes[0].size, axes[1].size))
-    out[tuple(boxes)] = values.reshape(a0.size, a1.size)
+    values = np.empty(leading.shape[0] * last.size)  # the box's nodes in C order: a tile's are contiguous
+    for start in range(0, last.size, width):
+        stretch = last[start : start + width, None]
+        sq_last = _squared_distances(stretch, est.points[:, -1:])
+        for first in range(0, leading.shape[0], lines):
+            rows = leading[first : first + lines]
+            sq_leading = _squared_distances(rows, est.points)
+            u = u_buf[: rows.shape[0] * stretch.shape[0] * n].reshape(rows.shape[0], stretch.shape[0], n)
+            np.add(sq_leading[:, None, :], sq_last[None, :, :], out=u)
+            node = first * last.size + start
+            _sum_rows(u.reshape(-1, n), b, profile, scale, out=values[node : node + u.shape[0] * u.shape[1]])
+    out = np.zeros(tuple(axis.size for axis in axes))
+    out[tuple(boxes)] = values.reshape([a.size for a in kept])
     return out.ravel()
 
 
@@ -323,13 +308,14 @@ def kde_eval_many(est: DensityEstimate, x=None, *, grid=None) -> np.ndarray:
     """Evaluate the estimate at an (m, dim) array of query points, or at every node of a grid.
 
     Give exactly one of x and ``grid``, a ``GridSpec``: its values are those
-    at ``grid.mesh()``, in the same order.  On a grid a 2D estimate is
-    evaluated from per-axis squared differences, with the same bits as at
-    the mesh.  A repeat call with the same read-only, data-owning query
-    array (such as ``GridSpec.mesh()``, so also with the same grid) copies
-    the estimate's last result, the values at x, instead of recomputing it,
-    and does not read x again; the returned array is always fresh and
-    writable.
+    at ``grid.mesh()``, in the same order.  Three paths: 1D compact
+    estimates use prefix sums over the sorted samples; an estimate of
+    dim >= 2 on a grid is evaluated from per-axis squared differences, with
+    the same bits as at the mesh; everything else takes the dense path.  A
+    repeat call with the same read-only, data-owning query array (such as
+    ``GridSpec.mesh()``, so also with the same grid) copies the estimate's
+    last result, the values at x, instead of recomputing it, and does not
+    read x again; the returned array is always fresh and writable.
     """
     if (x is None) == (grid is None):
         raise ValueError("give exactly one of x and grid")
@@ -345,7 +331,7 @@ def kde_eval_many(est: DensityEstimate, x=None, *, grid=None) -> np.ndarray:
         raise ValueError("query points contain non-finite values (nan or inf)")
     if est.dim == 1 and math.isfinite(est.kernel.support_radius):
         values = _eval_compact_1d(est, x)
-    elif grid is not None and est.dim == 2:
+    elif grid is not None and est.dim > 1:
         values = _eval_grid(est, grid.axes())
     else:
         values = _eval_dense(est, x)

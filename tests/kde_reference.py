@@ -1,10 +1,11 @@
 """Slow reference for the dense kernel-density evaluation.
 
 This is the straightforward form of ``distreg.kernels``' dense path: the
-profile formulas written with ``np.where`` and each query row's profile
-values summed over every sample at once.  The library's tiled, row-skipping
-evaluation must reproduce it bit for bit, so every float operation here
-(and its order) is the contract.
+profile formulas written with ``np.where``, squared distances as the
+per-axis squares added in axis order, ((d0**2 + d1**2) + d2**2), and each
+query row's profile values summed over every sample at once.  The library's
+tiled evaluation, on the dense and the grid path, must reproduce it bit for
+bit, so every float operation here (and its order) is the contract.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ def reference_eval(est, x) -> np.ndarray:
     rows = max(1, _CHUNK_ELEMENTS // est.count)
     for first in range(0, x.shape[0], rows):
         diff = x[first : first + rows, None, :] - est.points[None, :, :]
-        u = np.sqrt(np.einsum("qjk,qjk->qj", diff, diff)) / b
+        squares = diff * diff
+        total = squares[:, :, 0]
+        for k in range(1, est.dim):
+            total = total + squares[:, :, k]
+        u = np.sqrt(total) / b
         out[first : first + rows] = reference_profile(est.kernel.kind, u).sum(axis=1) * scale
     return out

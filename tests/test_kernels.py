@@ -1,7 +1,9 @@
+import ast
 import math
 import sys
 import threading
 import tracemalloc
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -14,6 +16,7 @@ from distreg import kernels
 from distreg.density_distance import grid_values
 from distreg.kernels import _eval_compact_1d, _eval_dense, radial_normalizer
 from distreg.regression import draw_labeled_dataset
+import kde_reference
 from kde_reference import reference_eval, reference_normalizer, reference_profile
 
 
@@ -81,6 +84,36 @@ def test_radial_normalizer_equals_reference():
             assert radial_normalizer(kind, dim) == reference_normalizer(kind, dim), (kind, dim)
 
 
+def _private_distreg_names(source: str) -> list[str]:
+    """Names starting with _ that the source imports from distreg or reads as attributes of a distreg name."""
+    tree, bound, private = ast.parse(source), set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.split(".")[0] == "distreg":
+                    bound.add((alias.asname or alias.name).split(".")[0])
+                    private += [part for part in alias.name.split(".") if part.startswith("_")]
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "distreg":
+            bound.update(alias.asname or alias.name for alias in node.names)
+            private += [part for part in node.module.split(".") if part.startswith("_")]
+            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            root = node.value
+            while isinstance(root, ast.Attribute):
+                root = root.value
+            if isinstance(root, ast.Name) and root.id in bound:
+                private.append(node.attr)
+    return private
+
+
+def test_reference_reads_no_private_name():
+    """tests/kde_reference.py stays independent of the code it checks: no private distreg name."""
+    assert _private_distreg_names(Path(kde_reference.__file__).read_text()) == []
+    leaky = "import distreg.kernels as k\nfrom distreg import kernels, _x\nfrom distreg.kernels import _TILE\nk._sum_rows\nkernels.KERNELS._p\n"
+    assert sorted(_private_distreg_names(leaky)) == ["_TILE", "_p", "_sum_rows", "_x"]
+
+
 def test_kde_build_single_boxcar_bump():
     est = dr.kde_build([[0.0]], 1.0, dr.BOXCAR)
     assert dr.kde_eval(est, [0.5]) == 0.5
@@ -114,7 +147,7 @@ def test_kde_eval_boundary_counts_both_kernels():
 def test_kde_build_errors():
     with pytest.raises(ValueError):
         dr.kde_build([], 1.0, dr.BOXCAR)
-    for bad in (0.0, -1.0, math.nan):
+    for bad in (0.0, -1.0, math.nan, math.inf):
         with pytest.raises(ValueError, match="bandwidth must be positive"):
             dr.kde_build([[0.0]], bad, dr.BOXCAR)
     with pytest.raises(ValueError):
@@ -223,7 +256,7 @@ def _queries_around(est, rng, count):
 )
 @settings(max_examples=40, deadline=None)
 def test_dense_path_equals_reference_bit_for_bit(kind, dim, n, centre, small_tiles, seed):
-    """Tiles and the skipped rows outside a compact support change no bit of any value.
+    """Tiles change no bit of any value, also in rows that a compact support misses.
 
     With small_tiles the tile cap is shrunk so that tiles hold one row, or a
     few, and the rows inside a compact support split into many tiles.
@@ -326,21 +359,28 @@ def test_grid_path_memory_stays_at_the_tile_cap():
     """At n samples a tile holds max(2**15 // n, 1) nodes: a tile of the whole grid, or per-axis tables, would need 4 MB or more here."""
     rng = np.random.default_rng(4)
     n = 2**14
-    grid = dr.GridSpec(lo=(-3.0,) * 2, hi=(3.0,) * 2, points_per_axis=16)
-    est = dr.kde_build(rng.uniform(-1.0, 1.0, size=(n, 2)), 0.5, dr.GAUSSIAN)
-    expected = reference_eval(est, grid.mesh())
-    tracemalloc.start()
-    try:
-        values = dr.kde_eval_many(est, grid=grid)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert np.array_equal(values, expected)
-    assert peak < 2**20, peak
+    for dim, points_per_axis in ((2, 16), (3, 6)):
+        grid = dr.GridSpec(lo=(-3.0,) * dim, hi=(3.0,) * dim, points_per_axis=points_per_axis)
+        est = dr.kde_build(rng.uniform(-1.0, 1.0, size=(n, dim)), 0.5, dr.GAUSSIAN)
+        expected = reference_eval(est, grid.mesh())
+        tracemalloc.start()
+        try:
+            values = dr.kde_eval_many(est, grid=grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(values, expected), dim
+        assert peak < 2**20, (dim, peak)
 
 
 def test_kde_eval_many_takes_points_or_a_grid():
-    """Exactly one of x and grid; only a 2D estimate on a grid skips the dense path."""
+    """Exactly one of x and grid; every estimate of dim >= 2 on a grid skips the dense path.
+
+    Arbitrary points and 1D gaussian grids take it.  The fixed 3D case puts a
+    node at d = (0.2, 0.3, 1.0) from the only sample, where the squares added
+    as ((d0² + d2²) + d1²) round apart from the reference's axis order: both
+    paths follow the axis order there.
+    """
     rng = np.random.default_rng(6)
     est = dr.kde_build(rng.normal(0.0, 1.0, size=(9, 2)), 0.8, dr.EPANECHNIKOV)
     grid = dr.GridSpec(lo=(-4.0, -3.0), hi=(4.0, 5.0), points_per_axis=6)
@@ -349,16 +389,26 @@ def test_kde_eval_many_takes_points_or_a_grid():
             dr.kde_eval_many(est, *args, **kwargs)
     with pytest.raises(ValueError, match="dimension 2"):
         dr.kde_eval_many(est, grid=dr.GridSpec(lo=(0.0,) * 3, hi=(1.0,) * 3, points_per_axis=4))
-    expected = reference_eval(est, grid.mesh())
+    d = np.array([0.2, 0.3, 1.0])
+    sq = d * d
+    axis_order, other_order = (sq[0] + sq[1]) + sq[2], (sq[0] + sq[2]) + sq[1]
+    assert reference_profile("gaussian", np.sqrt(axis_order)) != reference_profile("gaussian", np.sqrt(other_order))
+    cases = [
+        (est, grid),
+        (dr.kde_build(rng.normal(0.0, 1.0, size=(9, 3)), 0.8, dr.GAUSSIAN), dr.GridSpec(lo=(-4.0,) * 3, hi=(4.0,) * 3, points_per_axis=5)),
+        (dr.kde_build([[0.0, 0.0, 0.0]], 1.0, dr.GAUSSIAN), dr.GridSpec(lo=tuple(d), hi=tuple(d + 1.0), points_per_axis=3)),
+    ]
+    assert np.array_equal(cases[-1][1].mesh()[0] - cases[-1][0].points[0], d)
     with mock.patch.object(kernels, "_eval_dense", side_effect=AssertionError("dense path")):
-        assert np.array_equal(dr.kde_eval_many(est, grid=grid), expected)
+        for e, g in cases:
+            assert np.array_equal(dr.kde_eval_many(e, grid=g), reference_eval(e, g.mesh()))
     dense = mock.Mock(wraps=_eval_dense)
+    est1, grid1 = dr.kde_build(rng.normal(0.0, 1.0, size=(9, 1)), 0.8, dr.GAUSSIAN), dr.GridSpec(lo=(-4.0,), hi=(4.0,), points_per_axis=9)
     with mock.patch.object(kernels, "_eval_dense", dense):
-        assert np.array_equal(dr.kde_eval_many(est, grid.mesh().copy()), expected)
-        grid3 = dr.GridSpec(lo=(-4.0,) * 3, hi=(4.0,) * 3, points_per_axis=5)
-        est3 = dr.kde_build(rng.normal(0.0, 1.0, size=(9, 3)), 0.8, dr.GAUSSIAN)
-        assert np.array_equal(dr.kde_eval_many(est3, grid=grid3), reference_eval(est3, grid3.mesh()))
-    assert dense.call_count == 2
+        for e, g in cases + [(est1, grid1)]:
+            assert np.array_equal(dr.kde_eval_many(e, g.mesh().copy()), reference_eval(e, g.mesh()))
+        assert np.array_equal(dr.kde_eval_many(est1, grid=grid1), reference_eval(est1, grid1.mesh()))
+    assert dense.call_count == len(cases) + 2
 
 
 def test_fast_path_matches_dense_path():
