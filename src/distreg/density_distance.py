@@ -138,7 +138,10 @@ def grid_integral(est: DensityEstimate, grid: GridSpec) -> float:
 
 def l1_from_values(pv: np.ndarray, qv: np.ndarray, grid: GridSpec) -> float:
     """Trapezoid integral of |pv - qv| for two grid_values arrays of the same grid."""
-    return float(grid.quadrature_weights() @ np.abs(pv - qv))
+    weights = grid.quadrature_weights()
+    if np.shape(pv) != weights.shape or np.shape(qv) != weights.shape:
+        raise ValueError(f"values must have shape {weights.shape}, one per grid node")
+    return float(weights @ np.abs(pv - qv))
 
 
 def l1_distance(p: DensityEstimate, q: DensityEstimate, grid: GridSpec) -> float:

@@ -119,20 +119,23 @@ def radial_normalizer(kind: str, dim: int) -> float:
 class DensityEstimate:
     """A kernel density estimate: sample points (n, dim), bandwidth, kernel.
 
-    Treat as immutable; evaluation is thread-safe, and the only state it
-    keeps is the memo of the last evaluation on an immutable query array.
+    Immutable: it keeps a read-only float copy of the points it is given,
+    which must be a non-empty, finite (n, dim) array or sequence of rows.
+    Evaluation is thread-safe; the only state it keeps is the memo of its
+    last evaluation on a grid.
     """
 
     points: np.ndarray
     bandwidth: float
     kernel: KernelSpec
-    # One slot holding (query array, read-only values) of the last memoised
-    # evaluation; kde_eval_many replaces the whole pair in one assignment.
-    _last_eval: list = field(default_factory=lambda: [None], init=False, repr=False, compare=False)
+    # One slot holding (grid, values) of the last grid evaluation; kde_eval_many
+    # replaces the whole pair in one assignment.
+    _last_eval: list = field(default_factory=lambda: [(None, None)], init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.points.ndim != 2 or self.points.size == 0:
-            raise ValueError("points must be a non-empty (n, dim) array")
+        pts = _checked(np.array(self.points, dtype=float))
+        pts.flags.writeable = False
+        object.__setattr__(self, "points", pts)
         radial_normalizer(self.kernel.kind, self.dim)  # rejects dim > 3
         if not 0 < self.bandwidth < math.inf:
             raise ValueError("bandwidth must be positive and finite")
@@ -151,27 +154,29 @@ class DensityEstimate:
         return self.points.min(axis=0) - b, self.points.max(axis=0) + b
 
 
-def _as_points(samples) -> np.ndarray:
-    """Samples as an (n, k) float array; 1D scalars are promoted to k = 1."""
-    pts = np.asarray(samples, dtype=float)
-    if pts.ndim == 1:
-        pts = pts[:, None]
+def _checked(pts: np.ndarray) -> np.ndarray:
+    """pts itself, once it is a non-empty, finite (n, k) array."""
     if pts.ndim != 2 or pts.size == 0:
-        raise ValueError("samples must be a non-empty sequence of equal-length vectors")
+        raise ValueError("points must be a non-empty (n, dim) array")
     if not np.isfinite(pts).all():
-        raise ValueError("samples contain non-finite values (nan or inf)")
+        raise ValueError("points contain non-finite values (nan or inf)")
     return pts
+
+
+def _promoted(samples) -> np.ndarray:
+    """Samples as a float array; 1D scalars are promoted to an (n, 1) column."""
+    pts = np.asarray(samples, dtype=float)
+    return pts[:, None] if pts.ndim == 1 else pts
 
 
 def kde_build(samples, bandwidth: float, kernel: KernelSpec) -> DensityEstimate:
     """Build a density estimate from finite samples in R^k.
 
     Accepts an (n, k) array or a sequence of length-k vectors; 1D scalars are
-    promoted to k = 1.  NaN or infinite samples raise ValueError.
+    promoted to k = 1.  The estimate checks and copies the points: empty,
+    NaN or infinite samples raise ValueError.
     """
-    pts = _as_points(samples).copy()
-    pts.flags.writeable = False
-    return DensityEstimate(points=pts, bandwidth=float(bandwidth), kernel=kernel)
+    return DensityEstimate(points=_promoted(samples), bandwidth=float(bandwidth), kernel=kernel)
 
 
 # Query rows x samples per tile of the dense and grid paths' scratch buffers.
@@ -299,11 +304,6 @@ def _eval_compact_1d(est: DensityEstimate, x: np.ndarray) -> np.ndarray:
     return 0.75 * np.maximum(acc, 0.0) * scale
 
 
-def _immutable(x: np.ndarray) -> bool:
-    # A read-only array that owns its data: no writable view or base can change it.
-    return not x.flags.writeable and x.base is None
-
-
 def kde_eval_many(est: DensityEstimate, x=None, *, grid=None) -> np.ndarray:
     """Evaluate the estimate at an (m, dim) array of query points, or at every node of a grid.
 
@@ -312,19 +312,16 @@ def kde_eval_many(est: DensityEstimate, x=None, *, grid=None) -> np.ndarray:
     estimates use prefix sums over the sorted samples; an estimate of
     dim >= 2 on a grid is evaluated from per-axis squared differences, with
     the same bits as at the mesh; everything else takes the dense path.  A
-    repeat call with the same read-only, data-owning query array (such as
-    ``GridSpec.mesh()``, so also with the same grid) copies the estimate's
-    last result, the values at x, instead of recomputing it, and does not
-    read x again; the returned array is always fresh and writable.
+    repeat call on the same grid copies the estimate's last grid values
+    instead of recomputing them; query points are evaluated on every call.
+    The returned array is always fresh and writable.
     """
     if (x is None) == (grid is None):
         raise ValueError("give exactly one of x and grid")
-    x = np.asarray(grid.mesh() if grid is not None else x, dtype=float)
+    x = _promoted(grid.mesh() if grid is not None else x)
     last = est._last_eval[0]
-    if last is not None and last[0] is x and _immutable(x):
+    if grid is not None and last[0] is grid:
         return last[1].copy()
-    if x.ndim == 1:
-        x = x[:, None]
     if x.ndim != 2 or x.shape[1] != est.dim:
         raise ValueError(f"query points must have dimension {est.dim}")
     if not np.isfinite(x).all():
@@ -335,10 +332,8 @@ def kde_eval_many(est: DensityEstimate, x=None, *, grid=None) -> np.ndarray:
         values = _eval_grid(est, grid.axes())
     else:
         values = _eval_dense(est, x)
-    if _immutable(x):
-        kept = values.copy()
-        kept.flags.writeable = False
-        est._last_eval[0] = (x, kept)
+    if grid is not None:
+        est._last_eval[0] = (grid, values.copy())
     return values
 
 
@@ -357,7 +352,7 @@ def plug_in_bandwidth(spread: float, n: int, dim: int) -> float:
 
 def select_bandwidth(samples) -> float:
     """plug_in_bandwidth at the samples' spread: the population (ddof=0) std averaged over coordinates."""
-    pts = _as_points(samples)
+    pts = _checked(_promoted(samples))
     n, k = pts.shape
     if n < 2:
         raise ValueError("bandwidth selection needs at least 2 samples")

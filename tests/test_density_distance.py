@@ -12,6 +12,7 @@ from distreg.density_distance import (
     grid_integral,
     grid_values,
     l1_distance,
+    l1_from_values,
 )
 
 UNIFORM_01 = dr.kde_build([[0.5]], 0.5, dr.BOXCAR)  # density 1 on [0, 1]
@@ -75,6 +76,12 @@ def test_dimension_mismatch_raises():
         l1_distance(p1, p2, FINE_GRID)
     with pytest.raises(ValueError):
         l1_distance(p2, p2, FINE_GRID)
+    # Values must have one entry per grid node, with no broadcasting.
+    grid = GridSpec((0.0,), (1.0,), 5)
+    assert l1_from_values(np.ones(5), np.zeros(5), grid) == 1.0
+    for pv, qv in ((np.ones(5), np.zeros(1)), (np.ones(1), np.zeros(5)), (np.ones(4), np.ones(4)), (np.ones((5, 1)), np.ones(5)), (np.ones(5), 0.0)):
+        with pytest.raises(ValueError, match=r"shape \(5,\)"):
+            l1_from_values(pv, qv, grid)
 
 
 def test_coverage_error_for_escaping_compact_support():

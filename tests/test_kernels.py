@@ -84,27 +84,41 @@ def test_radial_normalizer_equals_reference():
             assert radial_normalizer(kind, dim) == reference_normalizer(kind, dim), (kind, dim)
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
 def _private_distreg_names(source: str) -> list[str]:
-    """Names starting with _ that the source imports from distreg or reads as attributes of a distreg name."""
-    tree, bound, private = ast.parse(source), set(), []
+    """Private names (_x, not dunders) that the source imports from distreg or reads as attributes, each once.
+
+    Imports count whether absolute or relative (``from .kernels import _x``,
+    as inside distreg).  An attribute counts when it is read from a distreg
+    name, or when the source itself defines no function, class, variable or
+    attribute of that name.
+    """
+    tree, bound, defined, private = ast.parse(source), set(), set(), []
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name.split(".")[0] == "distreg":
                     bound.add((alias.asname or alias.name).split(".")[0])
-                    private += [part for part in alias.name.split(".") if part.startswith("_")]
-        elif isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "distreg":
+                    private += [part for part in alias.name.split(".") if _private(part)]
+        elif isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").split(".")[0] == "distreg"):
             bound.update(alias.asname or alias.name for alias in node.names)
-            private += [part for part in node.module.split(".") if part.startswith("_")]
-            private += [alias.name for alias in node.names if alias.name.startswith("_")]
+            private += [part for part in (node.module or "").split(".") if _private(part)]
+            private += [alias.name for alias in node.names if _private(alias.name)]
+        elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            defined.add(node.name)
+        elif isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Store):
+            defined.add(node.id if isinstance(node, ast.Name) else node.attr)
     for node in ast.walk(tree):
-        if isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and _private(node.attr):
             root = node.value
             while isinstance(root, ast.Attribute):
                 root = root.value
-            if isinstance(root, ast.Name) and root.id in bound:
+            if (isinstance(root, ast.Name) and root.id in bound) or node.attr not in defined:
                 private.append(node.attr)
-    return private
+    return list(dict.fromkeys(private))
 
 
 def test_reference_reads_no_private_name():
@@ -112,6 +126,19 @@ def test_reference_reads_no_private_name():
     assert _private_distreg_names(Path(kde_reference.__file__).read_text()) == []
     leaky = "import distreg.kernels as k\nfrom distreg import kernels, _x\nfrom distreg.kernels import _TILE\nk._sum_rows\nkernels.KERNELS._p\n"
     assert sorted(_private_distreg_names(leaky)) == ["_TILE", "_p", "_sum_rows", "_x"]
+
+
+def test_no_distreg_module_reads_another_modules_private_names():
+    """Private state stays in its module: no src/distreg file imports or reads another's _ name, so _last_eval stays in kernels."""
+    sources = sorted(Path(kernels.__file__).parent.glob("*.py"))
+    assert {"kernels.py", "density_distance.py", "regression.py"} <= {path.name for path in sources}
+    assert {path.name: _private_distreg_names(path.read_text()) for path in sources} == {path.name: [] for path in sources}
+    leaky = (
+        "from . import __version__, kernels, _x\nfrom .kernels import _TILE\nfrom ._paths import grid\n"
+        "class A:\n    _mine: int = 0\n    def f(self, est):\n        self._own = 1\n"
+        "        return self._mine, self._own, est._last_eval, kernels._p, kernels._p\n"
+    )
+    assert sorted(_private_distreg_names(leaky)) == ["_TILE", "_last_eval", "_p", "_paths", "_x"]
 
 
 def test_kde_build_single_boxcar_bump():
@@ -158,6 +185,12 @@ def test_kde_build_errors():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="non-finite"):
             dr.kde_build([[0.0], [bad], [1.0]], 0.5, dr.EPANECHNIKOV)
+        # The estimate checks its points itself, however it is built.
+        with pytest.raises(ValueError, match="non-finite"):
+            dr.DensityEstimate(np.array([[0.0, 1.0], [bad, 2.0]]), 0.5, dr.EPANECHNIKOV)
+    rows = dr.DensityEstimate([[0, 1], [2, 3]], 0.5, dr.EPANECHNIKOV)
+    assert rows.points.dtype == float and np.array_equal(rows.points, [[0.0, 1.0], [2.0, 3.0]])
+    assert not rows.points.flags.writeable
     # The radial constants are tabulated for dims 1-3 only.
     with pytest.raises(ValueError, match="dims 1-3, not 4"):
         dr.kde_build(np.zeros((2, 4)), 1.0, dr.GAUSSIAN)
@@ -432,16 +465,23 @@ def test_fast_path_matches_dense_path():
     assert np.all(np.abs(fast - dense)[high] <= 1e-9 * dense[high])
 
 
-def _count_dense_calls(monkeypatch) -> list[int]:
+_EVAL_PATHS = ("_eval_dense", "_eval_grid", "_eval_compact_1d")
+
+
+def _count_calls(monkeypatch, names) -> list[int]:
+    """Counts the calls of the named kernels functions, all together, in a one-element list."""
     calls = [0]
-    dense = kernels._eval_dense
+    for name in names:
+        def counted(*args, _path=getattr(kernels, name)):
+            calls[0] += 1
+            return _path(*args)
 
-    def counted(est, x):
-        calls[0] += 1
-        return dense(est, x)
-
-    monkeypatch.setattr(kernels, "_eval_dense", counted)
+        monkeypatch.setattr(kernels, name, counted)
     return calls
+
+
+def _count_dense_calls(monkeypatch) -> list[int]:
+    return _count_calls(monkeypatch, ["_eval_dense"])
 
 
 def test_kernel_kernel_evaluates_the_query_once(monkeypatch):
@@ -460,49 +500,86 @@ def test_kernel_kernel_evaluates_the_query_once(monkeypatch):
 @pytest.mark.parametrize("kind", list(dr.KERNELS))
 @pytest.mark.parametrize("dim", [1, 2, 3])
 def test_repeat_evaluation_on_the_mesh_is_fresh_and_exact(kind, dim, monkeypatch):
+    """A repeat call on the same grid is not recomputed; each result is a fresh, writable copy of the values at its mesh."""
     rng = np.random.default_rng(dim)
     est = dr.kde_build(rng.normal(0.0, 1.0, size=(40, dim)), 0.7, dr.KERNELS[kind])
-    mesh = dr.GridSpec(lo=(-4.0,) * dim, hi=(4.0,) * dim, points_per_axis=9).mesh()
-    dense = dim > 1 or kind == "gaussian"
-    expected = reference_eval(est, mesh) if dense else _eval_compact_1d(est, mesh)
-    calls = _count_dense_calls(monkeypatch)
-    first = dr.kde_eval_many(est, mesh)
-    second = dr.kde_eval_many(est, mesh)
-    assert calls[0] == (1 if dense else 0)  # the repeat is not recomputed
+    grid = dr.GridSpec(lo=(-4.0,) * dim, hi=(4.0,) * dim, points_per_axis=9)
+    mesh = grid.mesh()
+    prefix = dim == 1 and kind != "gaussian"
+    expected = _eval_compact_1d(est, mesh) if prefix else reference_eval(est, mesh)
+    calls = _count_calls(monkeypatch, _EVAL_PATHS)
+    first = dr.kde_eval_many(est, grid=grid)
+    second = dr.kde_eval_many(est, grid=grid)
+    assert calls[0] == 1  # the repeat is not recomputed, on any path
     assert np.array_equal(first, expected) and np.array_equal(second, expected)
     assert second is not first and second.flags.writeable
     first[:] = -1.0
     assert np.array_equal(second, expected)
-    assert np.array_equal(dr.kde_eval_many(est, mesh), expected)
+    second[:] = -2.0  # a copy handed out on a hit is not the kept values either
+    assert np.array_equal(dr.kde_eval_many(est, grid=grid), expected)
+    assert calls[0] == 1
 
 
 @pytest.mark.parametrize("kind", list(dr.KERNELS))
-def test_only_immutable_query_arrays_are_memoised(kind):
-    """A writable array, or a read-only view of a writable base, is evaluated afresh every call."""
+def test_only_immutable_query_arrays_are_memoised(kind, monkeypatch):
+    """Only grids are memoised: a query array is evaluated afresh on every call.
+
+    That holds for a writable array, a read-only view of a writable base, and
+    a read-only array that owns its data, such as a grid's mesh.
+    """
     rng = np.random.default_rng(8)
     est = dr.kde_build(rng.normal(0.0, 1.0, size=(30, 2)), 0.8, dr.KERNELS[kind])
     writable = rng.uniform(-3.0, 3.0, size=(50, 2))
     base = rng.uniform(-3.0, 3.0, size=(50, 2))
     view = base[:]
     view.flags.writeable = False
-    for query, owner in ((writable, writable), (view, base)):
+    owned = rng.uniform(-3.0, 3.0, size=(50, 2))
+    owned.flags.writeable = False
+    mesh = dr.GridSpec(lo=(-3.0, -3.0), hi=(3.0, 3.0), points_per_axis=7).mesh()
+    calls = _count_calls(monkeypatch, _EVAL_PATHS)
+    for query, owner in ((writable, writable), (view, base), (owned, owned)):
+        read_only = not query.flags.writeable
         assert np.array_equal(dr.kde_eval_many(est, query), reference_eval(est, query))
+        owner.flags.writeable = True
         owner += 0.5
+        query.flags.writeable = not read_only
         assert np.array_equal(dr.kde_eval_many(est, query), reference_eval(est, query))
+    assert not owned.flags.writeable and owned.base is None
+    for _ in range(2):
+        assert np.array_equal(dr.kde_eval_many(est, mesh), reference_eval(est, mesh))
+    assert calls[0] == 8
+
+
+@pytest.mark.parametrize("kind", list(dr.KERNELS))
+@pytest.mark.parametrize("dim", [1, 2])
+def test_estimate_built_from_a_writable_array_keeps_its_own_points(kind, dim):
+    """Mutating the array an estimate was built from changes neither its points nor its grid values, memoised or not."""
+    rng = np.random.default_rng(13)
+    points = rng.normal(0.0, 1.0, size=(20, dim))
+    est = dr.DensityEstimate(points, 0.8, dr.KERNELS[kind])
+    assert est.points is not points and not est.points.flags.writeable
+    with pytest.raises(ValueError):
+        est.points[0, 0] = 1.0
+    grid = dr.GridSpec(lo=(-5.0,) * dim, hi=(5.0,) * dim, points_per_axis=17)
+    first = grid_values(est, grid)
+    unchanged = dr.DensityEstimate(points.copy(), 0.8, dr.KERNELS[kind])
+    points += 1.0
+    for values in (grid_values(est, grid), dr.kde_eval_many(est, grid.mesh().copy()), grid_values(unchanged, grid)):
+        assert np.array_equal(values, first)
 
 
 def test_memo_shared_between_threads_never_mixes_grids():
-    """Threads alternate one estimate between two meshes; each result must belong to its own mesh."""
+    """Threads alternate one estimate between two grids; each result must belong to its own grid."""
     rng = np.random.default_rng(10)
     est = dr.kde_build(rng.normal(0.0, 1.0, size=(5, 1)), 0.5, dr.GAUSSIAN)
-    meshes = [dr.GridSpec(lo=(-4.0,), hi=(hi,), points_per_axis=8).mesh() for hi in (4.0, 5.0)]
-    expected = [reference_eval(est, mesh) for mesh in meshes]
+    grids = [dr.GridSpec(lo=(-4.0,), hi=(hi,), points_per_axis=8) for hi in (4.0, 5.0)]
+    expected = [reference_eval(est, grid.mesh()) for grid in grids]
     mismatches = []
 
     def work(offset):
         for i in range(3000):
             k = (i + offset) % 2
-            if not np.array_equal(dr.kde_eval_many(est, meshes[k]), expected[k]):
+            if not np.array_equal(dr.kde_eval_many(est, grid=grids[k]), expected[k]):
                 mismatches.append(k)
 
     interval = sys.getswitchinterval()
