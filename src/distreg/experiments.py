@@ -297,21 +297,13 @@ def _run_theorem1_scaling(config: ExperimentConfig):
 def _run_small_ball(config: ExperimentConfig):
     header = "d,i,radius,empirical_mass,bound,holds"
     rows: list[tuple] = []
-    ok = True
-    max_sigma_dev = 0.0
+    devs: list[float] = []
     for di, meta in enumerate(_plan(config)[0]):
-        d = meta.dim
-        report = check_small_ball_bound(meta, meta.center(), config.i_max, config.trials, _rng(config.seed, di))
-        for i in range(config.i_max + 1):
-            rows.append(
-                (d, i, report.radii[i], report.empirical_mass[i], report.bound[i], report.holds[i])
-            )
-            ok &= report.holds[i]
-            if report.stderr[i] > 0:
-                dev = abs(report.empirical_mass[i] - report.exact_mass[i]) / report.stderr[i]
-                max_sigma_dev = max(max_sigma_dev, dev)
-                ok &= dev <= 3.0
-    return header, rows, {"max_sigma_dev": max_sigma_dev}, ok
+        r = check_small_ball_bound(meta, meta.center(), config.i_max, config.trials, _rng(config.seed, di))
+        rows += [(meta.dim, i, *row) for i, row in enumerate(zip(r.radii, r.empirical_mass, r.bound, r.holds))]
+        devs += [abs(p - q) / sig for p, q, sig in zip(r.empirical_mass, r.exact_mass, r.stderr) if sig > 0]
+    ok = all(row[-1] for row in rows) and all(dev <= 3.0 for dev in devs)
+    return header, rows, {"max_sigma_dev": max(devs, default=0.0)}, ok
 
 
 def _run_lemma1(config: ExperimentConfig):

@@ -168,9 +168,7 @@ def true_distance(
     For 1D width-w uniform members with distance_scale = 2/w this equals the
     exact L1 distance between the member densities (shifts up to w).
     """
-    t1 = _check_handle(meta, h1)
-    t2 = _check_handle(meta, h2)
-    return meta.distance_scale * float(np.max(np.abs(t1 - t2)))
+    return float(sup_distances(meta, _check_handle(meta, h1), h2))
 
 
 def sup_distances(meta: MetaDistribution, thetas: np.ndarray, s: DistributionHandle) -> np.ndarray:

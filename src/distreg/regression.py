@@ -8,9 +8,9 @@ Two estimators:
     from each training estimate to the query estimate.
 
   - adaptive_closest_point: draws fresh candidate distributions until one's
-    estimated density lands within epsilon/(3L) of the target's, then asks
-    the oracle for that candidate's label.  A max_iter guard returns the
-    closest candidate seen so far when the threshold is never met.
+    estimated density lands within epsilon/(3L) of the target's.  The oracle
+    is asked once: for the accepted candidate, or for the closest one seen
+    when max_iter runs out.
 """
 
 from __future__ import annotations
@@ -123,12 +123,18 @@ def kernel_kernel_estimate(
     return num / den if den > 0 else 0.0
 
 
+def _check_counts(least: int = 1, **counts) -> None:
+    """ValueError unless every count is an integer (not a bool) >= least."""
+    for name, value in counts.items():
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 def default_max_iter(epsilon: float, lipschitz: float, dim: int) -> int:
     """Draw budget heuristic: 10 times the (6L/epsilon)^d coverage scale; ValueError on bad input or overflow."""
     if not (0 < epsilon < math.inf and 0 < lipschitz < math.inf):
         raise ValueError(f"epsilon and lipschitz must be finite and > 0, got {epsilon!r} and {lipschitz!r}")
-    if not dim >= 1:
-        raise ValueError(f"dim must be >= 1, got {dim!r}")
+    _check_counts(dim=dim)
     try:
         return math.ceil(10.0 * (6.0 * lipschitz / epsilon) ** dim)
     except OverflowError:
@@ -144,8 +150,7 @@ def family_grid(meta: MetaDistribution, n: int) -> GridSpec:
     for the estimates too, at n or more samples.  ValueError unless n is an
     integer >= 1.
     """
-    if not (isinstance(n, numbers.Integral) and n >= 1):
-        raise ValueError(f"n must be an integer >= 1, got {n!r}")
+    _check_counts(n=n)
     # Hard spread bound for uniform members; generous tail bound for gaussian.
     sigma_cap = meta.base_width / 2.0 if meta.family == "uniform_location" else 3.0 * meta.base_width
     reach = meta.base_width / 2.0 if meta.family == "uniform_location" else 8.0 * meta.base_width
@@ -189,43 +194,35 @@ def adaptive_closest_point(
 
     The target estimate is built once from target_samples.  Each iteration
     draws a member, samples n points, estimates it, and accepts on the first
-    distance at or below the threshold, returning that member's oracle label.
-    Hitting max_iter returns the closest candidate seen with converged False.
+    distance at or below the threshold.  The oracle is asked once: for the
+    accepted candidate, or, with converged False, for the closest one seen
+    when max_iter runs out.
     A compact-support target or candidate outside the grid raises GridCoverageError.
     """
     if not epsilon > 0 or not lipschitz > 0:
         raise ValueError("epsilon and lipschitz must be positive")
-    if n < 1 or max_iter < 1:
-        raise ValueError("n and max_iter must be >= 1")
+    _check_counts(n=n, max_iter=max_iter)
     target = kde_fit(target_samples, kernel)
     if target.dim != meta.dim:
         raise ValueError("target samples must match the meta-distribution dimension")
     threshold = epsilon / (3.0 * lipschitz)
     target_values = grid_values(target, grid)
 
-    best_label = math.nan
-    best_distance = math.inf
+    best_handle, best_distance = None, math.inf
     for i in range(1, max_iter + 1):
         handle = draw_distribution(meta, rng)
         candidate = kde_fit(draw_samples(meta, handle, n, rng), kernel)
         distance = l1_from_values(grid_values(candidate, grid), target_values, grid)
-        if distance <= threshold:
-            return AdaptiveResult(
-                label=oracle_label(meta, handle),
-                iterations=i,
-                accepted_distance=distance,
-                converged=True,
-                samples_drawn=n * i,
-            )
         if distance < best_distance:
-            best_distance = distance
-            best_label = oracle_label(meta, handle)
+            best_handle, best_distance = handle, distance
+        if distance <= threshold:  # every earlier candidate was above it, so this one is the closest
+            break
     return AdaptiveResult(
-        label=best_label,
-        iterations=max_iter,
+        label=oracle_label(meta, best_handle),
+        iterations=i,
         accepted_distance=best_distance,
-        converged=False,
-        samples_drawn=n * max_iter,
+        converged=best_distance <= threshold,
+        samples_drawn=n * i,
     )
 
 
@@ -238,8 +235,7 @@ def check_calibration(target_err: float, confidence: float, grid: GridSpec, tria
         raise ValueError("target_err must lie in (0, 2]")
     if not 0 < confidence < 1:
         raise ValueError("confidence must lie in (0, 1)")
-    if trials < 2:
-        raise ValueError("trials must be >= 2")
+    _check_counts(2, trials=trials)
     resolution = 2.0 / (grid.points_per_axis - 1)  # smallest L1 separation the grid can certify
     if target_err < resolution:
         raise UnreachableTargetError(
@@ -278,8 +274,6 @@ def calibrate_sample_size(
         stderr = float(dists.std(ddof=1) / math.sqrt(trials))
         passed = mean + z * stderr <= target_err
         history.append((n, mean, stderr, passed))
-        if passed:
-            return CalibrationResult(n=n, capped=False, history=tuple(history))
-        if n >= CALIBRATION_N_MAX:
-            return CalibrationResult(n=n, capped=True, history=tuple(history))
+        if passed or n >= CALIBRATION_N_MAX:
+            return CalibrationResult(n=n, capped=not passed, history=tuple(history))
         n *= 2

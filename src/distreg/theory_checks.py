@@ -10,6 +10,7 @@ behind it.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
@@ -75,6 +76,13 @@ class Lemma1Result(NamedTuple):
     holds: bool
 
 
+def _check_counts(**counts) -> None:
+    """ValueError unless every count is an integer (not a bool) >= 1."""
+    for name, value in counts.items():
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1):
+            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+
+
 def _min_distances(
     meta: MetaDistribution,
     s: DistributionHandle,
@@ -109,8 +117,7 @@ def expected_min_distance(
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Monte Carlo mean and stderr of the distance from s to the nearest of m draws."""
-    if m < 1 or trials < 1:
-        raise ValueError("m and trials must be >= 1")
+    _check_counts(m=m, trials=trials)
     return _mean_stderr(_min_distances(meta, s, m, trials, rng))
 
 
@@ -169,31 +176,15 @@ def check_small_ball_bound(
     holds[i] allows a 3-sigma binomial band around the exact mass, which the
     box geometry provides in closed form.
     """
-    if i_max < 1 or trials < 1:
-        raise ValueError("i_max and trials must be >= 1")
-    d = meta.dim
-    dists = _min_distances(meta, s, 1, trials, rng)
-    radii, empirical, bound, exact, stderr, holds = [], [], [], [], [], []
-    for i in range(i_max + 1):
-        r = 2.0**-i
-        p_emp = float(np.mean(dists <= r))
-        p_exact = ball_mass(meta, s, r)
-        sig = math.sqrt(p_exact * (1.0 - p_exact) / trials)
-        b = 2.0 ** (-i * d)
-        radii.append(r)
-        empirical.append(p_emp)
-        bound.append(b)
-        exact.append(p_exact)
-        stderr.append(sig)
-        holds.append(p_emp >= b - 3.0 * sig)
-    return SmallBallReport(
-        radii=tuple(radii),
-        empirical_mass=tuple(empirical),
-        bound=tuple(bound),
-        exact_mass=tuple(exact),
-        stderr=tuple(stderr),
-        holds=tuple(holds),
-    )
+    _check_counts(i_max=i_max, trials=trials)
+    i = np.arange(i_max + 1)
+    radii = 2.0**-i
+    empirical = (_min_distances(meta, s, 1, trials, rng)[:, None] <= radii).mean(axis=0)
+    exact = np.array([ball_mass(meta, s, r) for r in radii.tolist()])
+    stderr = np.sqrt(exact * (1.0 - exact) / trials)
+    bound = 2.0 ** (-i * meta.dim)
+    columns = radii, empirical, bound, exact, stderr, empirical >= bound - 3.0 * stderr
+    return SmallBallReport(*(tuple(c.tolist()) for c in columns))
 
 
 def lemma1_rhs(d: float, m: int, i_max: int) -> float:
@@ -244,8 +235,7 @@ def lemma1_sums(
     noise on the lhs.  The caller should pick i_max with 2^-i_max below the
     tolerance it cares about (the truncated tail is that small).
     """
-    if m < 1 or i_max < 1 or trials < 1:
-        raise ValueError("m, i_max and trials must be >= 1")
+    _check_counts(m=m, i_max=i_max, trials=trials)
     if d < meta.dim:
         raise ValueError("d must be at least the meta-distribution's dimension")
     dists = _min_distances(meta, s, m, trials, rng)
@@ -272,10 +262,7 @@ def telescoping_sums(d: int, m: int, i: int) -> tuple[Fraction, Fraction]:
     Returns (sum over j=1..i of ((1 - 2^(-jd))^m - (1 - 2^(-(j-1)d))^m),
     (1 - 2^(-id))^m); the two are equal exactly.
     """
-    if d < 1 or m < 1 or i < 1:
-        raise ValueError("d, m, i must be >= 1")
-    if d != int(d):
-        raise ValueError("exact telescoping check requires integer d")
+    _check_counts(d=d, m=m, i=i)
     d = int(d)
 
     def term(j: int) -> Fraction:

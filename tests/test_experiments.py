@@ -263,9 +263,9 @@ def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
         ("adaptive_regression", "epsilon: .inf\n", "epsilon must be finite and > 0"),
         ("adaptive_regression", "epsilon: 100\n", "target_err must lie in (0, 2]"),
         ("adaptive_regression", "confidence: 0\n", "confidence must lie in (0, 1)"),
-        ("adaptive_regression", "calibration_trials: 1\n", "trials must be >= 2"),
+        ("adaptive_regression", "calibration_trials: 1\n", "trials must be an integer >= 2"),
         ("calibrate", "confidence: 1.5\n", "confidence must lie in (0, 1)"),
-        ("calibrate", "trials: 1\n", "trials must be >= 2"),
+        ("calibrate", "trials: 1\n", "trials must be an integer >= 2"),
         ("calibrate", "target_err: 3\n", "target_err must lie in (0, 2]"),
         ("calibrate", "target_err: 0.0001\n", "below the grid resolution 0.00196"),
     ]:

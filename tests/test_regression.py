@@ -9,7 +9,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import distreg as dr
-from distreg.density_distance import GridCoverageError, l1_distance
+from distreg import regression
+from distreg.density_distance import GridCoverageError, grid_values, l1_distance, l1_from_values
+from distreg.kernels import kde_fit
 from distreg.regression import (
     UnreachableTargetError,
     calibrate_sample_size,
@@ -142,6 +144,45 @@ def test_adaptive_max_iter_fallback_returns_best_seen():
     assert result.iterations == 5
     assert result.samples_drawn == 320
     assert np.isfinite(result.label) and np.isfinite(result.accepted_distance)
+
+
+@pytest.mark.parametrize(
+    "seed,epsilon,n,max_iter",
+    [(42, 0.5, 256, 100), (35, 1e-6, 64, 5)],
+    ids=["converged-after-improvements", "max-iter-fallback"],
+)
+def test_adaptive_asks_the_oracle_once_for_the_closest_candidate(monkeypatch, seed, epsilon, n, max_iter):
+    """One label query per call: for the accepted candidate, or the closest seen when max_iter runs out."""
+    rng = np.random.default_rng(seed)
+    target = dr.draw_samples(META_1D, dr.draw_distribution(META_1D, rng), n, rng)
+    replay = np.random.default_rng()
+    replay.bit_generator.state = rng.bit_generator.state
+    asked = []
+
+    def counted(meta, handle):
+        asked.append(handle)
+        return dr.oracle_label(meta, handle)
+
+    monkeypatch.setattr(regression, "oracle_label", counted)
+    result = dr.adaptive_closest_point(META_1D, target, epsilon, 1.0, n, max_iter, rng, GRID_1D)
+    assert len(asked) == 1
+
+    target_values = grid_values(kde_fit(target, dr.EPANECHNIKOV), GRID_1D)
+    handles, distances = [], []
+    for _ in range(result.iterations):
+        handles.append(dr.draw_distribution(META_1D, replay))
+        candidate = kde_fit(dr.draw_samples(META_1D, handles[-1], n, replay), dr.EPANECHNIKOV)
+        distances.append(l1_from_values(grid_values(candidate, GRID_1D), target_values, GRID_1D))
+    best = int(np.argmin(distances))
+    assert asked == [handles[best]]
+    assert result.label == dr.oracle_label(META_1D, handles[best])
+    assert result.accepted_distance == distances[best]
+    assert result.converged == (distances[best] <= epsilon / 3.0)
+    records = sum(d < min(distances[:i], default=math.inf) for i, d in enumerate(distances))
+    if result.converged:  # the accepted candidate is the last; the best improved more than once before it
+        assert best == result.iterations - 1 and records >= 3
+    else:
+        assert result.iterations == max_iter
 
 
 def test_adaptive_rejects_a_grid_that_misses_a_compact_support():

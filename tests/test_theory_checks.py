@@ -238,6 +238,67 @@ def test_nan_is_rejected_at_the_public_boundary(fn, args):
         fn(*args)
 
 
+M1 = unit_meta(1)
+S1 = M1.center()
+GRID_1D = dr.family_grid(M1, 16)
+TARGET = [[0.5]] * 4
+# name of the count, the bad value, and a call that passes it where that count goes
+COUNT_CASES = {
+    "expected_min_distance-m": ("m", 2.5, lambda v, rng: dr.expected_min_distance(M1, S1, v, 10, rng)),
+    "expected_min_distance-trials": ("trials", 10.0, lambda v, rng: dr.expected_min_distance(M1, S1, 4, v, rng)),
+    "check_small_ball_bound-i_max": ("i_max", 2.5, lambda v, rng: dr.check_small_ball_bound(M1, S1, v, 100, rng)),
+    "check_small_ball_bound-trials": ("trials", 1e2, lambda v, rng: dr.check_small_ball_bound(M1, S1, 3, v, rng)),
+    "lemma1_sums-i_max": ("i_max", 2.5, lambda v, rng: dr.lemma1_sums(1, 4, v, 10, M1, S1, rng)),
+    "lemma1_sums-m": ("m", 4.0, lambda v, rng: dr.lemma1_sums(1, v, 5, 10, M1, S1, rng)),
+    "telescoping_sums-m": ("m", 2.5, lambda v, rng: dr.telescoping_sums(1, v, 3)),
+    "adaptive-n": ("n", 8.0, lambda v, rng: dr.adaptive_closest_point(M1, TARGET, 0.5, 1.0, v, 8, rng, GRID_1D)),
+    "adaptive-max_iter": ("max_iter", 2.5, lambda v, rng: dr.adaptive_closest_point(M1, TARGET, 0.5, 1.0, 8, v, rng, GRID_1D)),
+    "adaptive-max_iter-bool": ("max_iter", True, lambda v, rng: dr.adaptive_closest_point(M1, TARGET, 6.0, 1.0, 8, v, rng, GRID_1D)),
+    "calibrate_sample_size-trials": ("trials", 2.5, lambda v, rng: dr.calibrate_sample_size(M1, 0.5, 0.9, rng, GRID_1D, v)),
+    "default_max_iter-dim": ("dim", 1.5, lambda v, rng: dr.default_max_iter(0.2, 1.0, v)),
+}
+
+
+@pytest.mark.parametrize("name,value,call", COUNT_CASES.values(), ids=COUNT_CASES.keys())
+def test_non_integer_counts_are_rejected_at_the_public_boundary(name, value, call):
+    """A float or bool count is a ValueError before any draw, not a numpy TypeError or a quiet result."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{name} must be an integer >= [12], got {value!r}$"):
+        call(value, rng)
+    assert rng.bit_generator.state == state
+
+
+def _small_ball_by_radius(meta, s, i_max, trials, rng):
+    """The report's columns, each radius on its own, in plain Python floats."""
+    dists = theory_checks._min_distances(meta, s, 1, trials, rng)
+    rows = []
+    for i in range(i_max + 1):
+        r = 2.0**-i
+        p_emp = float(np.mean(dists <= r))
+        p_exact = dr.ball_mass(meta, s, r)
+        sig = math.sqrt(p_exact * (1.0 - p_exact) / trials)
+        b = 2.0 ** (-i * meta.dim)
+        rows.append((r, p_emp, b, p_exact, sig, p_emp >= b - 3.0 * sig))
+    return tuple(zip(*rows))
+
+
+@pytest.mark.parametrize("i_max", [1, 10])
+@pytest.mark.parametrize("offset", [0.0, 0.3], ids=["centre", "off-centre"])
+@pytest.mark.parametrize("dim", [1, 2])
+def test_small_ball_report_matches_the_per_radius_formulas_bit_for_bit(dim, offset, i_max):
+    meta = unit_meta(dim)
+    s = dr.DistributionHandle(tuple(0.5 + offset * (k + 1) / dim for k in range(dim)))
+    seed = [28, dim, i_max, int(offset * 10)]
+    report = dr.check_small_ball_bound(meta, s, i_max, 3000, np.random.default_rng(seed))
+    columns = (report.radii, report.empirical_mass, report.bound, report.exact_mass, report.stderr, report.holds)
+    expected = _small_ball_by_radius(meta, s, i_max, 3000, np.random.default_rng(seed))
+    assert columns == expected
+    for column in columns[:5]:
+        assert len(column) == i_max + 1 and all(type(v) is float for v in column)
+    assert all(type(v) is bool for v in report.holds)
+
+
 def test_dyadic_weights_bucket_edges():
     t = np.array([1.0, 0.5, 0.25, 0.75, 0.3, 0.0])
     w = dyadic_weights(t)
