@@ -8,7 +8,6 @@ execution order.  Floats are printed with six significant digits.
 from __future__ import annotations
 
 import json
-import math
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -21,7 +20,7 @@ import yaml
 from . import __version__
 from .density_distance import GridSpec
 from .kernels import KERNELS, kde_fit
-from .meta_world import MetaDistribution, draw_distribution, draw_samples, oracle_label
+from .meta_world import MetaDistribution, check_counts, check_positive, draw_distribution, draw_samples, oracle_label
 from .regression import (
     adaptive_closest_point,
     calibrate_sample_size,
@@ -168,20 +167,16 @@ _COUNT_FIELDS = ("trials", "d_list", "m_list", "i_max", "n", "m", "max_iter", "c
 
 
 def _check_ranges(config: ExperimentConfig) -> None:
-    """Reject counts < 1, a seed < 0 and h, epsilon not > 0, then build the run's plan."""
+    """Reject a seed < 0, bad counts and h, epsilon not finite and > 0, then build the run's plan."""
     if config.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {config.seed!r}")
-    for key in _COUNT_FIELDS:
-        value = getattr(config, key)
+    counts = {key: getattr(config, key) for key in _COUNT_FIELDS}
+    for key, value in counts.items():
         if isinstance(value, list) and (not value or min(value) < 1):
             raise ConfigError(f"{key} must be a non-empty list of ints >= 1, got {value!r}")
-        if isinstance(value, int) and value < 1:
-            raise ConfigError(f"{key} must be >= 1, got {value!r}")
-    for key in ("h", "epsilon"):
-        value = getattr(config, key)
-        if value is not None and not 0 < value < math.inf:
-            raise ConfigError(f"{key} must be finite and > 0, got {value!r}")
     try:
+        check_counts(**{key: value for key, value in counts.items() if isinstance(value, int)})
+        check_positive(**{key: getattr(config, key) for key in ("h", "epsilon") if getattr(config, key) is not None})
         _plan(config)
     except ValueError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc

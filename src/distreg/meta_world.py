@@ -33,10 +33,26 @@ __all__ = [
     "oracle_label",
     "true_distance",
     "ball_mass",
+    "check_counts",
+    "check_positive",
 ]
 
 _FAMILIES = ("uniform_location", "gaussian_location")
 _LABEL_FNS = ("coordinate_sum", "euclidean_norm")
+
+
+def check_counts(least: int = 1, **counts) -> None:
+    """ValueError unless every count is an integer (not a bool) >= least."""
+    for name, value in counts.items():
+        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least):
+            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+
+
+def check_positive(**values) -> None:
+    """ValueError unless every value is a finite number > 0 (so not nan)."""
+    for name, value in values.items():
+        if not 0 < value < math.inf:
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -52,7 +68,10 @@ class MetaDistribution:
     label_fn      base regression function applied to the parameter vector.
     lipschitz_const  multiplier on the base function; equals the label's
                   Lipschitz constant in the parameter 1-norm for both
-                  built-in base functions.
+                  built-in base functions.  The threshold epsilon/(3L) takes
+                  it as the constant in member L1, which agrees only in 1D:
+                  width-2 uniform coordinate_sum members have 4/3 in 2D and
+                  12/7 in 3D, so a 2D or 3D run's epsilon is not certified.
     distance_scale   factor mapping sup-norm parameter distance to the
                   distance used throughout (true_distance, ball radii).
     """
@@ -73,13 +92,10 @@ class MetaDistribution:
             raise ValueError(f"unknown family: {self.family!r}")
         if self.label_fn not in _LABEL_FNS:
             raise ValueError(f"unknown label_fn: {self.label_fn!r}")
-        if not (isinstance(self.dim, numbers.Integral) and self.dim >= 1):
-            raise ValueError(f"dim must be an integer >= 1, got {self.dim!r}")
+        check_counts(dim=self.dim)
         if not -np.inf < self.lo <= self.hi < np.inf:
             raise ValueError("parameter box requires finite lo <= hi")
-        for key in ("base_width", "lipschitz_const", "distance_scale"):
-            if not getattr(self, key) > 0:
-                raise ValueError(f"{key} must be positive")
+        check_positive(**{key: getattr(self, key) for key in ("base_width", "lipschitz_const", "distance_scale")})
         diameter = self.distance_scale * (self.hi - self.lo)
         if diameter > 1.0 + 1e-9:
             raise ValueError(
@@ -137,8 +153,7 @@ def draw_samples(
     rng: np.random.Generator,
 ) -> np.ndarray:
     """n i.i.d. points from the member at handle, as an (n, dim) array."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    check_counts(n=n)
     theta = _check_handle(meta, handle)
     w = meta.base_width
     if meta.family == "uniform_location":

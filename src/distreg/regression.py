@@ -16,7 +16,6 @@ Two estimators:
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from statistics import NormalDist
 
@@ -40,6 +39,8 @@ from .kernels import (
 from .meta_world import (
     DistributionHandle,
     MetaDistribution,
+    check_counts,
+    check_positive,
     draw_distribution,
     draw_samples,
     oracle_label,
@@ -112,8 +113,7 @@ def kernel_kernel_estimate(
     """
     if not dataset:
         raise ValueError("dataset must be non-empty")
-    if not h > 0:
-        raise ValueError("h must be positive")
+    check_positive(h=h)
     num = 0.0
     den = 0.0
     for item in dataset:
@@ -123,18 +123,10 @@ def kernel_kernel_estimate(
     return num / den if den > 0 else 0.0
 
 
-def _check_counts(least: int = 1, **counts) -> None:
-    """ValueError unless every count is an integer (not a bool) >= least."""
-    for name, value in counts.items():
-        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= least):
-            raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
-
-
 def default_max_iter(epsilon: float, lipschitz: float, dim: int) -> int:
     """Draw budget heuristic: 10 times the (6L/epsilon)^d coverage scale; ValueError on bad input or overflow."""
-    if not (0 < epsilon < math.inf and 0 < lipschitz < math.inf):
-        raise ValueError(f"epsilon and lipschitz must be finite and > 0, got {epsilon!r} and {lipschitz!r}")
-    _check_counts(dim=dim)
+    check_positive(epsilon=epsilon, lipschitz=lipschitz)
+    check_counts(dim=dim)
     try:
         return math.ceil(10.0 * (6.0 * lipschitz / epsilon) ** dim)
     except OverflowError:
@@ -150,7 +142,7 @@ def family_grid(meta: MetaDistribution, n: int) -> GridSpec:
     for the estimates too, at n or more samples.  ValueError unless n is an
     integer >= 1.
     """
-    _check_counts(n=n)
+    check_counts(n=n)
     # Hard spread bound for uniform members; generous tail bound for gaussian.
     sigma_cap = meta.base_width / 2.0 if meta.family == "uniform_location" else 3.0 * meta.base_width
     reach = meta.base_width / 2.0 if meta.family == "uniform_location" else 8.0 * meta.base_width
@@ -166,6 +158,7 @@ def draw_labeled_dataset(
     kernel: KernelSpec = EPANECHNIKOV,
 ) -> list[LabeledEstimate]:
     """m labeled members, each estimated from n fresh samples."""
+    check_counts(m=m, n=n)
     dataset = []
     for _ in range(m):
         handle = draw_distribution(meta, rng)
@@ -199,9 +192,8 @@ def adaptive_closest_point(
     when max_iter runs out.
     A compact-support target or candidate outside the grid raises GridCoverageError.
     """
-    if not epsilon > 0 or not lipschitz > 0:
-        raise ValueError("epsilon and lipschitz must be positive")
-    _check_counts(n=n, max_iter=max_iter)
+    check_positive(epsilon=epsilon, lipschitz=lipschitz)
+    check_counts(n=n, max_iter=max_iter)
     target = kde_fit(target_samples, kernel)
     if target.dim != meta.dim:
         raise ValueError("target samples must match the meta-distribution dimension")
@@ -235,7 +227,7 @@ def check_calibration(target_err: float, confidence: float, grid: GridSpec, tria
         raise ValueError("target_err must lie in (0, 2]")
     if not 0 < confidence < 1:
         raise ValueError("confidence must lie in (0, 1)")
-    _check_counts(2, trials=trials)
+    check_counts(2, trials=trials)
     resolution = 2.0 / (grid.points_per_axis - 1)  # smallest L1 separation the grid can certify
     if target_err < resolution:
         raise UnreachableTargetError(

@@ -10,14 +10,13 @@ behind it.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .meta_world import DistributionHandle, MetaDistribution, ball_mass, draw_thetas, sup_distances
+from .meta_world import DistributionHandle, MetaDistribution, ball_mass, check_counts, draw_thetas, sup_distances
 
 __all__ = [
     "ScalingReport",
@@ -76,13 +75,6 @@ class Lemma1Result(NamedTuple):
     holds: bool
 
 
-def _check_counts(**counts) -> None:
-    """ValueError unless every count is an integer (not a bool) >= 1."""
-    for name, value in counts.items():
-        if not (isinstance(value, numbers.Integral) and not isinstance(value, bool) and value >= 1):
-            raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
-
-
 def _min_distances(
     meta: MetaDistribution,
     s: DistributionHandle,
@@ -117,7 +109,7 @@ def expected_min_distance(
     rng: np.random.Generator,
 ) -> tuple[float, float]:
     """Monte Carlo mean and stderr of the distance from s to the nearest of m draws."""
-    _check_counts(m=m, trials=trials)
+    check_counts(m=m, trials=trials)
     return _mean_stderr(_min_distances(meta, s, m, trials, rng))
 
 
@@ -159,8 +151,7 @@ def theorem1_rhs_bound(d: float, m: int) -> float:
     """Upper bound (2/(e-2) + 1) * m^(-1/d) on the expected nearest-draw distance."""
     if not d >= 1:
         raise ValueError("d must be >= 1")
-    if not m >= 1:
-        raise ValueError("m must be >= 1")
+    check_counts(m=m)
     return (2.0 / (math.e - 2.0) + 1.0) * m ** (-1.0 / d)
 
 
@@ -176,7 +167,7 @@ def check_small_ball_bound(
     holds[i] allows a 3-sigma binomial band around the exact mass, which the
     box geometry provides in closed form.
     """
-    _check_counts(i_max=i_max, trials=trials)
+    check_counts(i_max=i_max, trials=trials)
     i = np.arange(i_max + 1)
     radii = 2.0**-i
     empirical = (_min_distances(meta, s, 1, trials, rng)[:, None] <= radii).mean(axis=0)
@@ -191,8 +182,7 @@ def lemma1_rhs(d: float, m: int, i_max: int) -> float:
     """Sum of 2^-i * ((1 - 2^(-(i+1)d))^m - (1 - 2^(-id))^m) for i = 0..i_max."""
     if not d >= 1:
         raise ValueError("d must be >= 1")
-    if m < 1 or i_max < 1:
-        raise ValueError("m and i_max must be >= 1")
+    check_counts(m=m, i_max=i_max)
     total = 0.0
     for i in range(i_max + 1):
         inner = (1.0 - 2.0 ** (-(i + 1) * d)) ** m - (1.0 - 2.0 ** (-i * d)) ** m
@@ -235,7 +225,7 @@ def lemma1_sums(
     noise on the lhs.  The caller should pick i_max with 2^-i_max below the
     tolerance it cares about (the truncated tail is that small).
     """
-    _check_counts(m=m, i_max=i_max, trials=trials)
+    check_counts(m=m, i_max=i_max, trials=trials)
     if d < meta.dim:
         raise ValueError("d must be at least the meta-distribution's dimension")
     dists = _min_distances(meta, s, m, trials, rng)
@@ -262,7 +252,7 @@ def telescoping_sums(d: int, m: int, i: int) -> tuple[Fraction, Fraction]:
     Returns (sum over j=1..i of ((1 - 2^(-jd))^m - (1 - 2^(-(j-1)d))^m),
     (1 - 2^(-id))^m); the two are equal exactly.
     """
-    _check_counts(d=d, m=m, i=i)
+    check_counts(d=d, m=m, i=i)
     d = int(d)
 
     def term(j: int) -> Fraction:

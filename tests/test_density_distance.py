@@ -76,6 +76,10 @@ def test_dimension_mismatch_raises():
         l1_distance(p1, p2, FINE_GRID)
     with pytest.raises(ValueError):
         l1_distance(p2, p2, FINE_GRID)
+    with pytest.raises(ValueError, match="share a dimension"):
+        default_grid(p1, p2)
+    with pytest.raises(ValueError, match="at least one estimate"):
+        default_grid()
     # Values must have one entry per grid node, with no broadcasting.
     grid = GridSpec((0.0,), (1.0,), 5)
     assert l1_from_values(np.ones(5), np.zeros(5), grid) == 1.0

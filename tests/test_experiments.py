@@ -41,6 +41,8 @@ def test_parse_minimal_config_fills_defaults():
 def test_parse_rejects_unknown_experiment():
     with pytest.raises(ConfigError, match="unknown experiment"):
         parse_config("experiment: nope\n")
+    with pytest.raises(ConfigError, match="missing required field: experiment"):
+        parse_config("trials: 3\n")
 
 
 def test_parse_rejects_zero_trials():
@@ -183,6 +185,10 @@ def test_cli_main_runs_and_prints_summary(tmp_path, capsys):
     summary = json.loads(capsys.readouterr().out.strip())
     assert summary["experiment"] == "lemma1"
     assert out.exists()
+    # --assert makes a failed acceptance check exit 1: one draw per trial does not come within epsilon 0.01.
+    cfg.write_text(f"trials: 2\nn: 16\nepsilon: 0.01\nmax_iter: 1\nout_path: {out}\n")
+    assert main(["adaptive_regression", "--config", str(cfg), "--assert"]) == 1
+    assert json.loads(capsys.readouterr().out)["converged_rate"] == 0.0
 
 
 def test_cli_seed_and_out_overrides(tmp_path, capsys):
@@ -236,6 +242,9 @@ def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
         ("meta: {lo: '0'}\n", "lo must be float"),
         ("meta: {dim: 2.0}\n", "dim must be int"),
         ("meta: {lo: .nan}\n", "finite lo <= hi"),
+        ("[1, 2]\n", "config must be a mapping"),
+        ("meta: [1]\n", "meta must be a mapping"),
+        ("kernel: bogus\n", "unknown kernel: 'bogus'"),
     ]:
         cfg.write_text(text)
         assert main(["lemma1", "--config", str(cfg)]) == 2
@@ -247,6 +256,10 @@ def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
         ("adaptive_regression", "meta: {dim: 4}\n", "dim <= 3 only"),
         ("kernel_kernel_baseline", "meta: {dim: 4}\n", "dim <= 3 only"),
         ("kernel_kernel_baseline", "meta: {dim: 0}\n", "dim must be an integer >= 1"),
+        ("lemma1", "meta: {family: bogus}\n", "unknown family: 'bogus'"),
+        ("kernel_kernel_baseline", "meta: {label_fn: bogus}\n", "unknown label_fn: 'bogus'"),
+        ("kernel_kernel_baseline", "meta: {lipschitz_const: .inf}\n", "lipschitz_const must be finite and > 0"),
+        ("small_ball", "meta: {hi: 0.0, distance_scale: .inf}\n", "distance_scale must be finite and > 0"),
         ("lemma1", "seed: -1\n", "seed must be >= 0"),
         ("adaptive_regression", "n: 16\nepsilon: 1.0e-120\nmeta: {dim: 3}\n", "default max_iter"),
         ("small_ball", "d_list: [0]\n", "d_list must be a non-empty list of ints >= 1"),
@@ -255,8 +268,8 @@ def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
         ("theorem1_scaling", "meta: {dim: 2}\n", "takes its dims from d_list"),
         ("theorem1_scaling", "d_list: []\n", "d_list must be a non-empty list of ints >= 1"),
         ("lemma1", "m_list: [0, 4]\n", "m_list must be a non-empty list of ints >= 1"),
-        ("kernel_kernel_baseline", "m: 0\n", "m must be >= 1"),
-        ("adaptive_regression", "max_iter: -2\n", "max_iter must be >= 1"),
+        ("kernel_kernel_baseline", "m: 0\n", "m must be an integer >= 1"),
+        ("adaptive_regression", "max_iter: -2\n", "max_iter must be an integer >= 1"),
         ("kernel_kernel_baseline", "h: 0\n", "h must be finite and > 0"),
         ("kernel_kernel_baseline", "h: .nan\n", "h must be finite and > 0"),
         ("adaptive_regression", "epsilon: -1\n", "epsilon must be finite and > 0"),

@@ -207,6 +207,8 @@ def test_adaptive_parameter_validation():
         dr.adaptive_closest_point(META_1D, [[0.5]] * 4, 0.1, 1.0, 0, 8, np.random.default_rng(0), GRID_1D)
     with pytest.raises(ValueError):
         dr.adaptive_closest_point(META_1D, [[0.5]] * 4, 0.1, 1.0, 8, 0, np.random.default_rng(0), GRID_1D)
+    with pytest.raises(ValueError, match="meta-distribution dimension"):
+        dr.adaptive_closest_point(META_1D, [[0.5, 0.5]] * 4, 0.1, 1.0, 8, 8, np.random.default_rng(0), GRID_1D)
 
 
 def test_default_max_iter_heuristic():

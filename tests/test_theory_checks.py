@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 import distreg as dr
 from distreg import theory_checks
 from distreg.meta_world import draw_thetas, sup_distances
+from distreg.regression import draw_labeled_dataset
 from distreg.theory_checks import dyadic_weights, lemma1_rhs, scaling_report
 
 
@@ -175,7 +176,7 @@ def test_lemma1_rejects_d_below_meta_dimension():
             lemma1_rhs(1, 4, i_max)
     # m = 0 used to give 0.0, a bound over no draws, as lemma1_sums does not allow.
     for m in (0, -2):
-        with pytest.raises(ValueError, match="m and i_max"):
+        with pytest.raises(ValueError, match="m must be an integer >= 1"):
             lemma1_rhs(1, m, 5)
 
 
@@ -242,6 +243,7 @@ M1 = unit_meta(1)
 S1 = M1.center()
 GRID_1D = dr.family_grid(M1, 16)
 TARGET = [[0.5]] * 4
+DATASET = draw_labeled_dataset(M1, 2, 8, np.random.default_rng(1))
 # name of the count, the bad value, and a call that passes it where that count goes
 COUNT_CASES = {
     "expected_min_distance-m": ("m", 2.5, lambda v, rng: dr.expected_min_distance(M1, S1, v, 10, rng)),
@@ -256,15 +258,48 @@ COUNT_CASES = {
     "adaptive-max_iter-bool": ("max_iter", True, lambda v, rng: dr.adaptive_closest_point(M1, TARGET, 6.0, 1.0, 8, v, rng, GRID_1D)),
     "calibrate_sample_size-trials": ("trials", 2.5, lambda v, rng: dr.calibrate_sample_size(M1, 0.5, 0.9, rng, GRID_1D, v)),
     "default_max_iter-dim": ("dim", 1.5, lambda v, rng: dr.default_max_iter(0.2, 1.0, v)),
+    "draw_samples-n": ("n", 8.0, lambda v, rng: dr.draw_samples(M1, S1, v, rng)),
+    "draw_labeled_dataset-m": ("m", 2.5, lambda v, rng: draw_labeled_dataset(M1, v, 8, rng)),
+    "draw_labeled_dataset-m-zero": ("m", 0, lambda v, rng: draw_labeled_dataset(M1, v, 8, rng)),
+    "draw_labeled_dataset-n": ("n", 2.5, lambda v, rng: draw_labeled_dataset(M1, 2, v, rng)),
+    "lemma1_rhs-m": ("m", 2.5, lambda v, rng: lemma1_rhs(1, v, 5)),
+    "lemma1_rhs-i_max": ("i_max", 2.5, lambda v, rng: lemma1_rhs(1, 4, v)),
+    "theorem1_rhs_bound-m": ("m", 2.5, lambda v, rng: dr.theorem1_rhs_bound(1, v)),
+    "MetaDistribution-dim": ("dim", True, lambda v, rng: dr.MetaDistribution(dim=v)),
 }
 
 
 @pytest.mark.parametrize("name,value,call", COUNT_CASES.values(), ids=COUNT_CASES.keys())
 def test_non_integer_counts_are_rejected_at_the_public_boundary(name, value, call):
-    """A float or bool count is a ValueError before any draw, not a numpy TypeError or a quiet result."""
+    """A float, bool or too small count is a ValueError before any draw, not a numpy TypeError or a quiet result."""
     rng = np.random.default_rng(0)
     state = rng.bit_generator.state
     with pytest.raises(ValueError, match=f"^{name} must be an integer >= [12], got {value!r}$"):
+        call(value, rng)
+    assert rng.bit_generator.state == state
+
+
+# name of the value, the bad value, and a call that passes it where that value goes
+POSITIVE_CASES = {
+    "MetaDistribution-base_width": ("base_width", math.inf, lambda v, rng: dr.MetaDistribution(base_width=v)),
+    "MetaDistribution-lipschitz_const": ("lipschitz_const", math.inf, lambda v, rng: dr.MetaDistribution(lipschitz_const=v)),
+    "MetaDistribution-distance_scale": ("distance_scale", math.inf, lambda v, rng: dr.MetaDistribution(hi=0.0, distance_scale=v)),
+    "MetaDistribution-distance_scale-nan": ("distance_scale", math.nan, lambda v, rng: dr.MetaDistribution(distance_scale=v)),
+    "kernel_kernel_estimate-h": (
+        "h", math.inf, lambda v, rng: dr.kernel_kernel_estimate(DATASET, DATASET[0].estimate, v, dr.EPANECHNIKOV, GRID_1D)
+    ),
+    "adaptive-epsilon": ("epsilon", math.inf, lambda v, rng: dr.adaptive_closest_point(M1, TARGET, v, 1.0, 8, 8, rng, GRID_1D)),
+    "adaptive-lipschitz": ("lipschitz", math.inf, lambda v, rng: dr.adaptive_closest_point(M1, TARGET, 0.5, v, 8, 8, rng, GRID_1D)),
+    "default_max_iter-lipschitz": ("lipschitz", math.inf, lambda v, rng: dr.default_max_iter(0.2, v, 1)),
+}
+
+
+@pytest.mark.parametrize("name,value,call", POSITIVE_CASES.values(), ids=POSITIVE_CASES.keys())
+def test_infinite_or_nan_values_are_rejected_at_the_public_boundary(name, value, call):
+    """An inf or nan where a finite value > 0 goes is a ValueError before any draw, not an inf, nan or quiet result."""
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {value!r}$"):
         call(value, rng)
     assert rng.bit_generator.state == state
 
@@ -327,3 +362,6 @@ def test_scaling_report_invariants():
     assert len(report.m_values) == len(report.means) == len(report.stderrs) == 2
     assert all(s >= 0 for s in report.stderrs)
     assert report.d == 1.0
+    for stderrs, message in [((0.0,), "equal-length sequences of length >= 2"), ((0.0, -0.1), "stderrs must be nonnegative")]:
+        with pytest.raises(ValueError, match=message):
+            dr.ScalingReport(m_values=(4, 16), means=(0.1, 0.2), stderrs=stderrs, slope=-1.0, d=1.0)
