@@ -1,14 +1,16 @@
 #!/usr/bin/env bash
-# The four checks a change must pass, in order; stops at the first failure.
+# The five checks a change must pass, in order; stops at the first failure.
 #
 #   scripts/check.sh
 #
 # 1. the test suite (tests/);
-# 2. the benchmark's own tests (perfbench/);
-# 3. scripts/run_all.py --assert in a temporary directory, once with one
+# 2. scripts/raise_coverage.py: the test suite again under a line trace, which
+#    fails if any raise statement in src/distreg/*.py never runs;
+# 3. the benchmark's own tests (perfbench/);
+# 4. scripts/run_all.py --assert in a temporary directory, once with one
 #    trial-loop worker and once with DISTREG_THREADS=2, then each regenerated
 #    CSV of both runs compared byte for byte with the tracked results/;
-# 4. perfbench/run.py once per workload at seed 101 (--seconds 20): each run
+# 5. perfbench/run.py once per workload at seed 101 (--seconds 20): each run
 #    must print "correct": true and the row digest that perfbench/baseline.json
 #    records for that seed, and its setup_s and peak_rss_mb are printed, so an
 #    import or memory regression shows here too.  It reads perfbench and
@@ -22,6 +24,7 @@ export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 cd "$ROOT"
 
 python -m pytest -q --continue-on-collection-errors
+python scripts/raise_coverage.py
 python -m pytest -q perfbench
 
 WORK=$(mktemp -d)

@@ -197,7 +197,7 @@ def _plan(config: ExperimentConfig) -> tuple[list[MetaDistribution], GridSpec | 
     grid = family_grid(meta, 16 if config.experiment == "calibrate" else min(config.n or 16, 16))
     max_iter = calibration = None
     if config.experiment == "adaptive_regression":
-        max_iter = config.max_iter or default_max_iter(config.epsilon, meta.lipschitz_const, meta.dim)
+        max_iter = config.max_iter or default_max_iter(config.epsilon, meta)
         if config.n is None:
             target_err = config.epsilon / (9.0 * meta.lipschitz_const)
             calibration = dict(target_err=target_err, trials=config.calibration_trials)
@@ -232,7 +232,7 @@ def _fmt(value) -> str:
         return str(int(value))
     if isinstance(value, (float, np.floating)):
         return f"{float(value):.6g}"
-    return str(value)
+    raise TypeError(f"a CSV cell must be a bool, int or float, got {value!r}")
 
 
 def _write_csv(path: str, header: str, rows: list[tuple]) -> None:
@@ -308,7 +308,7 @@ def _run_lemma1(config: ExperimentConfig):
     for di, meta in enumerate(_plan(config)[0]):
         d, s = meta.dim, meta.center()
         for mi, m in enumerate(config.m_list):
-            res = lemma1_sums(d, m, config.i_max, config.trials, meta, s, _rng(config.seed, di, mi))
+            res = lemma1_sums(meta, s, m, config.i_max, config.trials, _rng(config.seed, di, mi))
             rows.append((d, m, res.lhs, res.rhs, res.stderr, res.holds))
             ok &= res.holds
     return header, rows, {}, ok
@@ -317,7 +317,6 @@ def _run_lemma1(config: ExperimentConfig):
 def _run_adaptive_regression(config: ExperimentConfig):
     header = "trial,label,truth,abs_err,iterations,samples_drawn,converged"
     (meta,), grid, max_iter, calibration = _plan(config)
-    lipschitz = meta.lipschitz_const
     epsilon = config.epsilon
     kernel = KERNELS[config.kernel]
     n, calibrated = config.n, None
@@ -329,7 +328,7 @@ def _run_adaptive_regression(config: ExperimentConfig):
         rng = _rng(config.seed, 1, t)
         target = draw_distribution(meta, rng)
         samples = draw_samples(meta, target, n, rng)
-        res = adaptive_closest_point(meta, samples, epsilon, lipschitz, n, max_iter, rng, grid, kernel)
+        res = adaptive_closest_point(meta, samples, epsilon, n, max_iter, rng, grid, kernel)
         truth = oracle_label(meta, target)
         return (t, res.label, truth, abs(res.label - truth), res.iterations, res.samples_drawn, res.converged)
 

@@ -49,9 +49,9 @@ def check_counts(least: int = 1, **counts) -> None:
 
 
 def check_positive(**values) -> None:
-    """ValueError unless every value is a finite number > 0 (so not nan)."""
+    """ValueError unless every value is a real number (not a bool) that is finite and > 0, so not nan."""
     for name, value in values.items():
-        if not 0 < value < math.inf:
+        if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
@@ -66,12 +66,12 @@ class MetaDistribution:
     family        member shape: uniform box or isotropic gaussian.
     base_width    member width (uniform) or standard deviation (gaussian).
     label_fn      base regression function applied to the parameter vector.
-    lipschitz_const  multiplier on the base function; equals the label's
-                  Lipschitz constant in the parameter 1-norm for both
-                  built-in base functions.  The threshold epsilon/(3L) takes
-                  it as the constant in member L1, which agrees only in 1D:
-                  width-2 uniform coordinate_sum members have 4/3 in 2D and
-                  12/7 in 3D, so a 2D or 3D run's epsilon is not certified.
+    lipschitz_const  multiplier on the base function; equals the label's Lipschitz
+                  constant in the parameter 1-norm for both built-in base functions.
+                  The adaptive threshold epsilon/(3L) and draw budget 10(6L/epsilon)^dim
+                  read it here, as the constant in member L1, which agrees only in 1D:
+                  width-2 uniform coordinate_sum members have 4/3 in 2D and 12/7 in
+                  3D, so a 2D or 3D run's epsilon is not certified.
     distance_scale   factor mapping sup-norm parameter distance to the
                   distance used throughout (true_distance, ball radii).
     """

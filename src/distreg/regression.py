@@ -123,14 +123,13 @@ def kernel_kernel_estimate(
     return num / den if den > 0 else 0.0
 
 
-def default_max_iter(epsilon: float, lipschitz: float, dim: int) -> int:
-    """Draw budget heuristic: 10 times the (6L/epsilon)^d coverage scale; ValueError on bad input or overflow."""
-    check_positive(epsilon=epsilon, lipschitz=lipschitz)
-    check_counts(dim=dim)
+def default_max_iter(epsilon: float, meta: MetaDistribution) -> int:
+    """Draw budget heuristic 10 * (6L/epsilon)^d, with L and d from meta; ValueError on bad input or overflow."""
+    check_positive(epsilon=epsilon)
     try:
-        return math.ceil(10.0 * (6.0 * lipschitz / epsilon) ** dim)
+        return math.ceil(10.0 * (6.0 * meta.lipschitz_const / epsilon) ** meta.dim)
     except OverflowError:
-        raise ValueError(f"the default max_iter 10 * (6L/epsilon)^{dim} is not finite; set max_iter") from None
+        raise ValueError(f"the default max_iter 10 * (6L/epsilon)^{meta.dim} is not finite; set max_iter") from None
 
 
 def family_grid(meta: MetaDistribution, n: int) -> GridSpec:
@@ -176,7 +175,6 @@ def adaptive_closest_point(
     meta: MetaDistribution,
     target_samples,
     epsilon: float,
-    lipschitz: float,
     n: int,
     max_iter: int,
     rng: np.random.Generator,
@@ -185,19 +183,19 @@ def adaptive_closest_point(
 ) -> AdaptiveResult:
     """Draw members until one's density estimate is epsilon/(3L)-close to the target's.
 
-    The target estimate is built once from target_samples.  Each iteration
-    draws a member, samples n points, estimates it, and accepts on the first
-    distance at or below the threshold.  The oracle is asked once: for the
-    accepted candidate, or, with converged False, for the closest one seen
-    when max_iter runs out.
+    L is meta.lipschitz_const.  The target estimate is built once from target_samples.
+    Each iteration draws a member, samples n points, estimates it, and accepts on the
+    first distance at or below the threshold.  The oracle is asked once: for the
+    accepted candidate, or, with converged False, for the closest one seen when
+    max_iter runs out.
     A compact-support target or candidate outside the grid raises GridCoverageError.
     """
-    check_positive(epsilon=epsilon, lipschitz=lipschitz)
+    check_positive(epsilon=epsilon)
     check_counts(n=n, max_iter=max_iter)
     target = kde_fit(target_samples, kernel)
     if target.dim != meta.dim:
         raise ValueError("target samples must match the meta-distribution dimension")
-    threshold = epsilon / (3.0 * lipschitz)
+    threshold = epsilon / (3.0 * meta.lipschitz_const)
     target_values = grid_values(target, grid)
 
     best_handle, best_distance = None, math.inf

@@ -210,28 +210,25 @@ def dyadic_weights(t: np.ndarray, i_max: int | None = None) -> np.ndarray:
 
 
 def lemma1_sums(
-    d: float,
+    meta: MetaDistribution,
+    s: DistributionHandle,
     m: int,
     i_max: int,
     trials: int,
-    meta: MetaDistribution,
-    s: DistributionHandle,
     rng: np.random.Generator,
 ) -> Lemma1Result:
     """Monte Carlo dyadic sum of nearest-draw distances vs its exact upper bound.
 
-    lhs averages the dyadic bucket weight of each trial's min distance; rhs
-    is the closed-form dominating sum.  holds allows 3 sigma of Monte Carlo
-    noise on the lhs.  The caller should pick i_max with 2^-i_max below the
-    tolerance it cares about (the truncated tail is that small).
+    lhs averages the dyadic bucket weight of each trial's min distance; rhs is the
+    closed-form dominating sum at the world's dimension meta.dim.  holds allows 3 sigma
+    of Monte Carlo noise on the lhs.  The caller should pick i_max with 2^-i_max below
+    the tolerance it cares about (the truncated tail is that small).
     """
     check_counts(m=m, i_max=i_max, trials=trials)
-    if d < meta.dim:
-        raise ValueError("d must be at least the meta-distribution's dimension")
     dists = _min_distances(meta, s, m, trials, rng)
     weights = dyadic_weights(np.clip(dists, 0.0, 1.0), i_max=i_max)
     lhs, stderr = _mean_stderr(weights)
-    rhs = lemma1_rhs(d, m, i_max)
+    rhs = lemma1_rhs(meta.dim, m, i_max)
     return Lemma1Result(lhs=lhs, rhs=rhs, stderr=stderr, holds=lhs <= rhs + 3.0 * stderr)
 
 

@@ -81,7 +81,7 @@ def test_c04_lemma1_grid_and_geometric_value():
         meta = dr.make_box_meta(d)
         s = meta.center()
         for m in (1, 4, 16, 64):
-            res = dr.lemma1_sums(d, m, 40, 10_000, meta, s, np.random.default_rng([4, d, m]))
+            res = dr.lemma1_sums(meta, s, m, 40, 10_000, np.random.default_rng([4, d, m]))
             ok &= res.holds
     rhs_gap = abs(lemma1_rhs(1, 1, 30) - 2.0 / 3.0)
     ok &= rhs_gap <= 1e-6
@@ -141,27 +141,27 @@ def test_c07_kernel_kernel_contract():
     _report(7, "kernel-kernel-contract", ok, "500 bounded instances, boxcar zero case exact")
 
 
-def _run_adaptive_batch(meta, grid, epsilon, lipschitz, n, trials, seed):
-    max_iter = default_max_iter(epsilon, lipschitz, meta.dim)
+def _run_adaptive_batch(meta, grid, epsilon, n, trials, seed):
+    max_iter = default_max_iter(epsilon, meta)
     results = []
     for t in range(trials):
         rng = np.random.default_rng([seed, t])
         target = dr.draw_distribution(meta, rng)
         samples = dr.draw_samples(meta, target, n, rng)
-        res = dr.adaptive_closest_point(meta, samples, epsilon, lipschitz, n, max_iter, rng, grid)
+        res = dr.adaptive_closest_point(meta, samples, epsilon, n, max_iter, rng, grid)
         results.append((res, abs(res.label - dr.oracle_label(meta, target))))
     return results
 
 
 def test_c08_end_to_end_adaptive_regression():
     start = time.perf_counter()
-    epsilon, lipschitz = 0.2, 1.0
-    meta = dr.make_box_meta(1)
+    epsilon, meta = 0.2, dr.make_box_meta(1)
+    lipschitz = meta.lipschitz_const
     grid = family_grid(meta, 16)
     calibration = calibrate_sample_size(
         meta, epsilon / (9.0 * lipschitz), 0.9, np.random.default_rng([8, 0]), grid
     )
-    results = _run_adaptive_batch(meta, grid, epsilon, lipschitz, calibration.n, 100, 800)
+    results = _run_adaptive_batch(meta, grid, epsilon, calibration.n, 100, 800)
     converged = [(res, err) for res, err in results if res.converged]
     threshold_ok = all(res.accepted_distance <= epsilon / (3.0 * lipschitz) for res, _ in converged)
     success = sum(err <= epsilon for _, err in converged) / len(converged)
@@ -177,15 +177,15 @@ def test_c08_end_to_end_adaptive_regression():
 
 
 def test_c09_iteration_trend_report_only():
-    epsilon, lipschitz = 0.6, 1.0
-    meta = dr.make_box_meta(1)
+    epsilon, meta = 0.6, dr.make_box_meta(1)
+    lipschitz = meta.lipschitz_const
     grid = family_grid(meta, 16)
     medians = {}
     for idx, eps in enumerate((epsilon, epsilon / 2.0)):
         cal = calibrate_sample_size(
             meta, eps / (9.0 * lipschitz), 0.9, np.random.default_rng([9, idx, 0]), grid
         )
-        results = _run_adaptive_batch(meta, grid, eps, lipschitz, cal.n, 100, 900 + idx)
+        results = _run_adaptive_batch(meta, grid, eps, cal.n, 100, 900 + idx)
         medians[eps] = float(np.median([res.iterations for res, _ in results]))
     factor = medians[epsilon / 2.0] / medians[epsilon]
     in_band = 1.2 <= factor <= 8.0

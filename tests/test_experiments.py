@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 import distreg as dr
+from distreg import experiments
 from distreg.cli import main
 from distreg.experiments import (
     ConfigError,
@@ -174,6 +175,13 @@ def test_byte_identical_reruns_across_thread_counts(tmp_path, config_text):
     runs = [_run_bytes(text, out, threads) for threads in (1, 4, 1)]
     assert runs[0] == runs[1] == runs[2]
     assert runs[0].count(b"\n") >= 2
+
+
+def test_a_cell_that_is_not_a_bool_int_or_float_raises():
+    """None used to be written as the CSV cell 'None'."""
+    assert [experiments._fmt(v) for v in (True, 3, 0.25)] == ["true", "3", "0.25"]
+    with pytest.raises(TypeError, match="CSV cell must be a bool, int or float, got None"):
+        experiments._fmt(None)
 
 
 def test_cli_main_runs_and_prints_summary(tmp_path, capsys):

@@ -20,6 +20,7 @@ from distreg.regression import (
     family_grid,
 )
 from distreg.kernels import kernel_value
+from distreg.theory_checks import lemma1_rhs
 
 
 META_1D = dr.make_box_meta(1)
@@ -84,7 +85,7 @@ def test_adaptive_atom_meta_converges_immediately():
     rng = np.random.default_rng(31)
     target = dr.draw_samples(meta, dr.DistributionHandle((0.3,)), 4096, rng)
     result = dr.adaptive_closest_point(
-        meta, target, epsilon=0.6, lipschitz=1.0, n=4096, max_iter=50,
+        meta, target, epsilon=0.6, n=4096, max_iter=50,
         rng=rng, grid=family_grid(meta, 16),
     )
     assert result.converged
@@ -96,7 +97,7 @@ def test_adaptive_huge_epsilon_accepts_first_draw():
     rng = np.random.default_rng(32)
     target = dr.draw_samples(META_1D, dr.draw_distribution(META_1D, rng), 64, rng)
     result = dr.adaptive_closest_point(
-        META_1D, target, epsilon=6.0, lipschitz=1.0, n=64, max_iter=10,
+        META_1D, target, epsilon=6.0, n=64, max_iter=10,
         rng=rng, grid=GRID_1D,
     )
     assert result.converged and result.iterations == 1
@@ -105,18 +106,18 @@ def test_adaptive_huge_epsilon_accepts_first_draw():
 
 def test_adaptive_invariants_and_budget_identity():
     rng = np.random.default_rng(33)
-    eps, lip, n = 0.5, 1.0, 256
+    eps, n = 0.5, 256
     for t in range(8):
         trial_rng = np.random.default_rng([33, t])
         handle = dr.draw_distribution(META_1D, trial_rng)
         target = dr.draw_samples(META_1D, handle, n, trial_rng)
         result = dr.adaptive_closest_point(
-            META_1D, target, eps, lip, n, max_iter=default_max_iter(eps, lip, 1),
+            META_1D, target, eps, n, max_iter=default_max_iter(eps, META_1D),
             rng=trial_rng, grid=GRID_1D,
         )
         assert result.samples_drawn == n * result.iterations
         if result.converged:
-            assert result.accepted_distance <= eps / (3.0 * lip)
+            assert result.accepted_distance <= eps / (3.0 * META_1D.lipschitz_const)
 
 
 def test_adaptive_determinism():
@@ -125,7 +126,7 @@ def test_adaptive_determinism():
         handle = dr.draw_distribution(META_1D, rng)
         target = dr.draw_samples(META_1D, handle, 128, rng)
         return dr.adaptive_closest_point(
-            META_1D, target, 0.4, 1.0, 128, 60, rng, GRID_1D
+            META_1D, target, 0.4, 128, 60, rng, GRID_1D
         )
 
     assert run() == run()
@@ -137,7 +138,7 @@ def test_adaptive_max_iter_fallback_returns_best_seen():
     target = dr.draw_samples(META_1D, handle, 64, rng)
     # impossible threshold: estimation noise floor sits far above eps/(3L)
     result = dr.adaptive_closest_point(
-        META_1D, target, epsilon=1e-6, lipschitz=1.0, n=64, max_iter=5,
+        META_1D, target, epsilon=1e-6, n=64, max_iter=5,
         rng=rng, grid=GRID_1D,
     )
     assert not result.converged
@@ -164,7 +165,7 @@ def test_adaptive_asks_the_oracle_once_for_the_closest_candidate(monkeypatch, se
         return dr.oracle_label(meta, handle)
 
     monkeypatch.setattr(regression, "oracle_label", counted)
-    result = dr.adaptive_closest_point(META_1D, target, epsilon, 1.0, n, max_iter, rng, GRID_1D)
+    result = dr.adaptive_closest_point(META_1D, target, epsilon, n, max_iter, rng, GRID_1D)
     assert len(asked) == 1
 
     target_values = grid_values(kde_fit(target, dr.EPANECHNIKOV), GRID_1D)
@@ -191,36 +192,46 @@ def test_adaptive_rejects_a_grid_that_misses_a_compact_support():
     rng = np.random.default_rng(37)
     target = dr.draw_samples(META_1D, dr.draw_distribution(META_1D, rng), 256, rng)
     with pytest.raises(GridCoverageError):  # the target escapes
-        dr.adaptive_closest_point(META_1D, target, 6.0, 1.0, 64, 10, rng, narrow)
+        dr.adaptive_closest_point(META_1D, target, 6.0, 64, 10, rng, narrow)
     inside = [[0.45], [0.5], [0.55]]
     with pytest.raises(GridCoverageError):  # the target fits, every candidate escapes
-        dr.adaptive_closest_point(META_1D, inside, 6.0, 1.0, 64, 10, rng, narrow)
+        dr.adaptive_closest_point(META_1D, inside, 6.0, 64, 10, rng, narrow)
 
 
 def test_adaptive_parameter_validation():
     target = [[0.5]]
     with pytest.raises(ValueError):
-        dr.adaptive_closest_point(META_1D, target, 0.0, 1.0, 8, 8, np.random.default_rng(0), GRID_1D)
+        dr.adaptive_closest_point(META_1D, target, 0.0, 8, 8, np.random.default_rng(0), GRID_1D)
     with pytest.raises(ValueError):
-        dr.adaptive_closest_point(META_1D, target, 0.1, -1.0, 8, 8, np.random.default_rng(0), GRID_1D)
+        dr.adaptive_closest_point(META_1D, [[0.5]] * 4, 0.1, 0, 8, np.random.default_rng(0), GRID_1D)
     with pytest.raises(ValueError):
-        dr.adaptive_closest_point(META_1D, [[0.5]] * 4, 0.1, 1.0, 0, 8, np.random.default_rng(0), GRID_1D)
-    with pytest.raises(ValueError):
-        dr.adaptive_closest_point(META_1D, [[0.5]] * 4, 0.1, 1.0, 8, 0, np.random.default_rng(0), GRID_1D)
+        dr.adaptive_closest_point(META_1D, [[0.5]] * 4, 0.1, 8, 0, np.random.default_rng(0), GRID_1D)
     with pytest.raises(ValueError, match="meta-distribution dimension"):
-        dr.adaptive_closest_point(META_1D, [[0.5, 0.5]] * 4, 0.1, 1.0, 8, 8, np.random.default_rng(0), GRID_1D)
+        dr.adaptive_closest_point(META_1D, [[0.5, 0.5]] * 4, 0.1, 8, 8, np.random.default_rng(0), GRID_1D)
 
 
 def test_default_max_iter_heuristic():
-    assert default_max_iter(0.2, 1.0, 1) == 300
-    assert default_max_iter(0.2, 1.0, 2) == 9000
-    # Used to return -60, 0, 0 and to raise ZeroDivisionError.
-    bad = [(-1.0, 1.0, 1), (math.inf, 1.0, 1), (0.2, 0.0, 1), (0.0, 1.0, 1), (0.2, math.nan, 1), (0.2, 1.0, 0)]
-    for args in bad:
+    assert default_max_iter(0.2, META_1D) == 300
+    assert default_max_iter(0.2, dr.make_box_meta(2)) == 9000
+    # Used to return -60, 0 and to raise ZeroDivisionError.
+    for epsilon in (-1.0, math.inf, 0.0):
         with pytest.raises(ValueError):
-            default_max_iter(*args)
+            default_max_iter(epsilon, META_1D)
     with pytest.raises(ValueError, match="default max_iter"):
-        default_max_iter(1e-120, 1.0, 3)
+        default_max_iter(1e-120, dr.make_box_meta(3))
+
+
+def test_threshold_budget_and_lemma1_bound_read_the_world():
+    """L and d come from MetaDistribution alone: epsilon/(3L), 10(6L/epsilon)^d and lemma1's rhs at meta.dim."""
+    meta = dr.make_box_meta(1, lipschitz_const=2.0)
+    assert default_max_iter(0.2, meta) == 600
+    rng = np.random.default_rng([50, 0])
+    target = dr.draw_samples(meta, dr.draw_distribution(meta, rng), 16384, rng)
+    result = dr.adaptive_closest_point(meta, target, 0.2, 16384, default_max_iter(0.2, meta), rng, family_grid(meta, 16))
+    assert result.converged and result.accepted_distance <= 0.2 / 6
+    meta_2d = dr.make_box_meta(2, lipschitz_const=2.0)
+    res = dr.lemma1_sums(meta_2d, meta_2d.center(), 16, 40, 200, np.random.default_rng(51))
+    assert res.rhs == lemma1_rhs(2, 16, 40)
 
 
 def test_family_grid_covers_member_estimates():

@@ -147,7 +147,7 @@ def test_lemma1_holds_on_small_grid():
         meta = unit_meta(d)
         s = meta.center()
         for m in (1, 4, 16):
-            res = dr.lemma1_sums(d, m, 40, 10_000, meta, s, np.random.default_rng([24, d, m]))
+            res = dr.lemma1_sums(meta, s, m, 40, 10_000, np.random.default_rng([24, d, m]))
             assert res.holds, (d, m, res)
             assert res.rhs > 0
 
@@ -155,22 +155,19 @@ def test_lemma1_holds_on_small_grid():
 def test_lemma1_atom_meta_lhs_zero():
     meta = dr.make_box_meta(1, lo=0.4, hi=0.4)
     s = dr.DistributionHandle((0.4,))
-    res = dr.lemma1_sums(1, 3, 40, 500, meta, s, np.random.default_rng(25))
+    res = dr.lemma1_sums(meta, s, 3, 40, 500, np.random.default_rng(25))
     assert res.lhs == 0.0
     assert res.holds
 
 
-def test_lemma1_rejects_d_below_meta_dimension():
-    meta = unit_meta(2)
-    with pytest.raises(ValueError):
-        dr.lemma1_sums(1, 4, 40, 10, meta, meta.center(), np.random.default_rng(0))
+def test_lemma1_rejects_i_max_and_m_below_one():
     # i_max < 1 used to give lhs = rhs = 0 and holds, a pass over no terms; it fails before any draw.
     meta1 = unit_meta(1)
     for i_max in (0, -1):
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError, match="i_max"):
-            dr.lemma1_sums(1, 4, i_max, 10, meta1, meta1.center(), rng)
+            dr.lemma1_sums(meta1, meta1.center(), 4, i_max, 10, rng)
         assert rng.bit_generator.state == state
         with pytest.raises(ValueError, match="i_max"):
             lemma1_rhs(1, 4, i_max)
@@ -250,14 +247,13 @@ COUNT_CASES = {
     "expected_min_distance-trials": ("trials", 10.0, lambda v, rng: dr.expected_min_distance(M1, S1, 4, v, rng)),
     "check_small_ball_bound-i_max": ("i_max", 2.5, lambda v, rng: dr.check_small_ball_bound(M1, S1, v, 100, rng)),
     "check_small_ball_bound-trials": ("trials", 1e2, lambda v, rng: dr.check_small_ball_bound(M1, S1, 3, v, rng)),
-    "lemma1_sums-i_max": ("i_max", 2.5, lambda v, rng: dr.lemma1_sums(1, 4, v, 10, M1, S1, rng)),
-    "lemma1_sums-m": ("m", 4.0, lambda v, rng: dr.lemma1_sums(1, v, 5, 10, M1, S1, rng)),
+    "lemma1_sums-i_max": ("i_max", 2.5, lambda v, rng: dr.lemma1_sums(M1, S1, 4, v, 10, rng)),
+    "lemma1_sums-m": ("m", 4.0, lambda v, rng: dr.lemma1_sums(M1, S1, v, 5, 10, rng)),
     "telescoping_sums-m": ("m", 2.5, lambda v, rng: dr.telescoping_sums(1, v, 3)),
-    "adaptive-n": ("n", 8.0, lambda v, rng: dr.adaptive_closest_point(M1, TARGET, 0.5, 1.0, v, 8, rng, GRID_1D)),
-    "adaptive-max_iter": ("max_iter", 2.5, lambda v, rng: dr.adaptive_closest_point(M1, TARGET, 0.5, 1.0, 8, v, rng, GRID_1D)),
-    "adaptive-max_iter-bool": ("max_iter", True, lambda v, rng: dr.adaptive_closest_point(M1, TARGET, 6.0, 1.0, 8, v, rng, GRID_1D)),
+    "adaptive-n": ("n", 8.0, lambda v, rng: dr.adaptive_closest_point(M1, TARGET, 0.5, v, 8, rng, GRID_1D)),
+    "adaptive-max_iter": ("max_iter", 2.5, lambda v, rng: dr.adaptive_closest_point(M1, TARGET, 0.5, 8, v, rng, GRID_1D)),
+    "adaptive-max_iter-bool": ("max_iter", True, lambda v, rng: dr.adaptive_closest_point(M1, TARGET, 6.0, 8, v, rng, GRID_1D)),
     "calibrate_sample_size-trials": ("trials", 2.5, lambda v, rng: dr.calibrate_sample_size(M1, 0.5, 0.9, rng, GRID_1D, v)),
-    "default_max_iter-dim": ("dim", 1.5, lambda v, rng: dr.default_max_iter(0.2, 1.0, v)),
     "draw_samples-n": ("n", 8.0, lambda v, rng: dr.draw_samples(M1, S1, v, rng)),
     "draw_labeled_dataset-m": ("m", 2.5, lambda v, rng: draw_labeled_dataset(M1, v, 8, rng)),
     "draw_labeled_dataset-m-zero": ("m", 0, lambda v, rng: draw_labeled_dataset(M1, v, 8, rng)),
@@ -266,6 +262,8 @@ COUNT_CASES = {
     "lemma1_rhs-i_max": ("i_max", 2.5, lambda v, rng: lemma1_rhs(1, 4, v)),
     "theorem1_rhs_bound-m": ("m", 2.5, lambda v, rng: dr.theorem1_rhs_bound(1, v)),
     "MetaDistribution-dim": ("dim", True, lambda v, rng: dr.MetaDistribution(dim=v)),
+    "MetaDistribution-dim-float": ("dim", 1.5, lambda v, rng: dr.MetaDistribution(dim=v)),
+    "MetaDistribution-dim-zero": ("dim", 0, lambda v, rng: dr.MetaDistribution(dim=v)),
 }
 
 
@@ -282,15 +280,20 @@ def test_non_integer_counts_are_rejected_at_the_public_boundary(name, value, cal
 # name of the value, the bad value, and a call that passes it where that value goes
 POSITIVE_CASES = {
     "MetaDistribution-base_width": ("base_width", math.inf, lambda v, rng: dr.MetaDistribution(base_width=v)),
+    "MetaDistribution-base_width-str": ("base_width", "2", lambda v, rng: dr.MetaDistribution(base_width=v)),
+    "MetaDistribution-base_width-bool": ("base_width", True, lambda v, rng: dr.MetaDistribution(base_width=v)),
     "MetaDistribution-lipschitz_const": ("lipschitz_const", math.inf, lambda v, rng: dr.MetaDistribution(lipschitz_const=v)),
+    "MetaDistribution-lipschitz_const-zero": ("lipschitz_const", 0.0, lambda v, rng: dr.MetaDistribution(lipschitz_const=v)),
+    "MetaDistribution-lipschitz_const-nan": ("lipschitz_const", math.nan, lambda v, rng: dr.MetaDistribution(lipschitz_const=v)),
+    "MetaDistribution-lipschitz_const-negative": (
+        "lipschitz_const", -1.0, lambda v, rng: dr.MetaDistribution(lipschitz_const=v)
+    ),
     "MetaDistribution-distance_scale": ("distance_scale", math.inf, lambda v, rng: dr.MetaDistribution(hi=0.0, distance_scale=v)),
     "MetaDistribution-distance_scale-nan": ("distance_scale", math.nan, lambda v, rng: dr.MetaDistribution(distance_scale=v)),
     "kernel_kernel_estimate-h": (
         "h", math.inf, lambda v, rng: dr.kernel_kernel_estimate(DATASET, DATASET[0].estimate, v, dr.EPANECHNIKOV, GRID_1D)
     ),
-    "adaptive-epsilon": ("epsilon", math.inf, lambda v, rng: dr.adaptive_closest_point(M1, TARGET, v, 1.0, 8, 8, rng, GRID_1D)),
-    "adaptive-lipschitz": ("lipschitz", math.inf, lambda v, rng: dr.adaptive_closest_point(M1, TARGET, 0.5, v, 8, 8, rng, GRID_1D)),
-    "default_max_iter-lipschitz": ("lipschitz", math.inf, lambda v, rng: dr.default_max_iter(0.2, v, 1)),
+    "adaptive-epsilon": ("epsilon", math.inf, lambda v, rng: dr.adaptive_closest_point(M1, TARGET, v, 8, 8, rng, GRID_1D)),
 }
 
 
