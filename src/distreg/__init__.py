@@ -34,6 +34,7 @@ from .regression import (
     LabeledEstimate,
     adaptive_closest_point,
     calibrate_sample_size,
+    calibration_target,
     default_max_iter,
     family_grid,
     kernel_kernel_estimate,

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .kernels import DensityEstimate, kde_eval_many
+from .meta_world import check_counts
 
 __all__ = [
     "GridSpec",
@@ -53,8 +53,7 @@ class GridSpec:
             raise ValueError("lo and hi must have equal length, 1 <= dim <= 3")
         if not all(-math.inf < a < b < math.inf for a, b in zip(lo, hi)):
             raise ValueError("grid requires finite lo < hi componentwise")
-        if not (isinstance(self.points_per_axis, numbers.Integral) and self.points_per_axis >= 2):
-            raise ValueError(f"points_per_axis must be an integer >= 2, got {self.points_per_axis!r}")
+        check_counts(2, points_per_axis=self.points_per_axis)
 
     @property
     def dim(self) -> int:

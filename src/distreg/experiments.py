@@ -24,6 +24,7 @@ from .meta_world import MetaDistribution, check_counts, check_positive, draw_dis
 from .regression import (
     adaptive_closest_point,
     calibrate_sample_size,
+    calibration_target,
     check_calibration,
     default_max_iter,
     draw_labeled_dataset,
@@ -168,13 +169,12 @@ _COUNT_FIELDS = ("trials", "d_list", "m_list", "i_max", "n", "m", "max_iter", "c
 
 def _check_ranges(config: ExperimentConfig) -> None:
     """Reject a seed < 0, bad counts and h, epsilon not finite and > 0, then build the run's plan."""
-    if config.seed < 0:
-        raise ConfigError(f"seed must be >= 0, got {config.seed!r}")
     counts = {key: getattr(config, key) for key in _COUNT_FIELDS}
     for key, value in counts.items():
         if isinstance(value, list) and (not value or min(value) < 1):
             raise ConfigError(f"{key} must be a non-empty list of ints >= 1, got {value!r}")
     try:
+        check_counts(0, seed=config.seed)
         check_counts(**{key: value for key, value in counts.items() if isinstance(value, int)})
         check_positive(**{key: getattr(config, key) for key in ("h", "epsilon") if getattr(config, key) is not None})
         _plan(config)
@@ -192,6 +192,8 @@ def _plan(config: ExperimentConfig) -> tuple[list[MetaDistribution], GridSpec | 
     if "d_list" in DEFAULTS[config.experiment]:
         if "dim" in config.meta:
             raise ValueError("a theory sweep takes its dims from d_list; meta must not set dim")
+        if config.experiment == "theorem1_scaling" and len(set(config.m_list)) < 2:
+            raise ValueError(f"theorem1_scaling fits a slope: m_list needs two distinct m, got {config.m_list!r}")
         return [MetaDistribution(**config.meta, dim=d) for d in config.d_list], None, None, None
     meta = MetaDistribution(**config.meta)
     grid = family_grid(meta, 16 if config.experiment == "calibrate" else min(config.n or 16, 16))
@@ -199,8 +201,7 @@ def _plan(config: ExperimentConfig) -> tuple[list[MetaDistribution], GridSpec | 
     if config.experiment == "adaptive_regression":
         max_iter = config.max_iter or default_max_iter(config.epsilon, meta)
         if config.n is None:
-            target_err = config.epsilon / (9.0 * meta.lipschitz_const)
-            calibration = dict(target_err=target_err, trials=config.calibration_trials)
+            calibration = dict(target_err=calibration_target(config.epsilon, meta), trials=config.calibration_trials)
     elif config.experiment == "calibrate":
         calibration = dict(target_err=config.target_err, trials=config.trials)
     if calibration is not None:

@@ -14,6 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .meta_world import check_positive
+
 __all__ = [
     "KernelSpec",
     "BOXCAR",
@@ -115,12 +117,13 @@ def radial_normalizer(kind: str, dim: int) -> float:
     return _RADIAL_NORMALIZERS[kind][dim - 1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityEstimate:
     """A kernel density estimate: sample points (n, dim), bandwidth, kernel.
 
     Immutable: it keeps a read-only float copy of the points it is given,
-    which must be a non-empty, finite (n, dim) array or sequence of rows.
+    which must be a non-empty, finite (n, dim) array or sequence of rows,
+    and its bandwidth as a float.  Equality and hashing are by identity.
     Evaluation is thread-safe; the only state it keeps is the memo of its
     last evaluation on a grid.
     """
@@ -130,15 +133,15 @@ class DensityEstimate:
     kernel: KernelSpec
     # One slot holding (grid, values) of the last grid evaluation; kde_eval_many
     # replaces the whole pair in one assignment.
-    _last_eval: list = field(default_factory=lambda: [(None, None)], init=False, repr=False, compare=False)
+    _last_eval: list = field(default_factory=lambda: [(None, None)], init=False, repr=False)
 
     def __post_init__(self):
         pts = _checked(np.array(self.points, dtype=float))
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         radial_normalizer(self.kernel.kind, self.dim)  # rejects dim > 3
-        if not 0 < self.bandwidth < math.inf:
-            raise ValueError("bandwidth must be positive and finite")
+        check_positive(bandwidth=self.bandwidth)
+        object.__setattr__(self, "bandwidth", float(self.bandwidth))
 
     @property
     def dim(self) -> int:
@@ -176,7 +179,7 @@ def kde_build(samples, bandwidth: float, kernel: KernelSpec) -> DensityEstimate:
     promoted to k = 1.  The estimate checks and copies the points: empty,
     NaN or infinite samples raise ValueError.
     """
-    return DensityEstimate(points=_promoted(samples), bandwidth=float(bandwidth), kernel=kernel)
+    return DensityEstimate(points=_promoted(samples), bandwidth=bandwidth, kernel=kernel)
 
 
 # Query rows x samples per tile of the dense and grid paths' scratch buffers.

@@ -48,10 +48,15 @@ def check_counts(least: int = 1, **counts) -> None:
             raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
+def _is_real(value) -> bool:
+    """A real number that is not a bool, so it can be compared before it is converted."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
 def check_positive(**values) -> None:
     """ValueError unless every value is a real number (not a bool) that is finite and > 0, so not nan."""
     for name, value in values.items():
-        if not (isinstance(value, numbers.Real) and not isinstance(value, bool) and 0 < value < math.inf):
+        if not (_is_real(value) and 0 < value < math.inf):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
@@ -86,15 +91,15 @@ class MetaDistribution:
     distance_scale: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "lo", float(self.lo))
-        object.__setattr__(self, "hi", float(self.hi))
         if self.family not in _FAMILIES:
             raise ValueError(f"unknown family: {self.family!r}")
         if self.label_fn not in _LABEL_FNS:
             raise ValueError(f"unknown label_fn: {self.label_fn!r}")
         check_counts(dim=self.dim)
-        if not -np.inf < self.lo <= self.hi < np.inf:
+        if not (_is_real(self.lo) and _is_real(self.hi) and -math.inf < self.lo <= self.hi < math.inf):
             raise ValueError("parameter box requires finite lo <= hi")
+        object.__setattr__(self, "lo", float(self.lo))
+        object.__setattr__(self, "hi", float(self.hi))
         check_positive(**{key: getattr(self, key) for key in ("base_width", "lipschitz_const", "distance_scale")})
         diameter = self.distance_scale * (self.hi - self.lo)
         if diameter > 1.0 + 1e-9:
@@ -198,7 +203,7 @@ def ball_mass(meta: MetaDistribution, s: DistributionHandle, r: float) -> float:
     Product over axes, in order, of the clipped window length divided by the
     side length; a zero-width cube is an atom, always inside the ball.
     """
-    if not r >= 0:
+    if not (_is_real(r) and r >= 0):
         raise ValueError("radius must be nonnegative")
     theta = _check_handle(meta, s)
     side = meta.hi - meta.lo

@@ -55,6 +55,7 @@ __all__ = [
     "adaptive_closest_point",
     "calibrate_sample_size",
     "check_calibration",
+    "calibration_target",
     "default_max_iter",
     "family_grid",
     "draw_labeled_dataset",
@@ -130,6 +131,12 @@ def default_max_iter(epsilon: float, meta: MetaDistribution) -> int:
         return math.ceil(10.0 * (6.0 * meta.lipschitz_const / epsilon) ** meta.dim)
     except OverflowError:
         raise ValueError(f"the default max_iter 10 * (6L/epsilon)^{meta.dim} is not finite; set max_iter") from None
+
+
+def calibration_target(epsilon: float, meta: MetaDistribution) -> float:
+    """The calibration target_err epsilon/(9L) of an adaptive run, with L from meta."""
+    check_positive(epsilon=epsilon)
+    return epsilon / (9.0 * meta.lipschitz_const)
 
 
 def family_grid(meta: MetaDistribution, n: int) -> GridSpec:
@@ -221,9 +228,10 @@ def check_calibration(target_err: float, confidence: float, grid: GridSpec, tria
 
     A target_err below the grid resolution raises UnreachableTargetError.
     """
-    if not 0 < target_err <= 2:
+    check_positive(target_err=target_err, confidence=confidence)
+    if target_err > 2:
         raise ValueError("target_err must lie in (0, 2]")
-    if not 0 < confidence < 1:
+    if confidence >= 1:
         raise ValueError("confidence must lie in (0, 1)")
     check_counts(2, trials=trials)
     resolution = 2.0 / (grid.points_per_axis - 1)  # smallest L1 separation the grid can certify

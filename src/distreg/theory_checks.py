@@ -16,7 +16,9 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .meta_world import DistributionHandle, MetaDistribution, ball_mass, check_counts, draw_thetas, sup_distances
+from .meta_world import (
+    DistributionHandle, MetaDistribution, ball_mass, check_counts, check_positive, draw_thetas, sup_distances
+)
 
 __all__ = [
     "ScalingReport",
@@ -114,15 +116,17 @@ def expected_min_distance(
 
 
 def fit_scaling_exponent(m_values: Sequence[int], means: Sequence[float]) -> float:
-    """Least-squares slope of log(mean) against log(m)."""
+    """Least-squares slope of log(mean) against log(m), over at least two distinct m."""
     m_values = np.asarray(m_values, dtype=float)
     means = np.asarray(means, dtype=float)
     if len(m_values) != len(means) or len(means) < 2:
         raise ValueError("need equal-length sequences of length >= 2")
     if not np.all((m_values > 0) & (m_values < np.inf)):
         raise ValueError("m values must be finite and > 0")
-    if not np.all(means > 0):
-        raise ValueError("means must be positive for a log-log fit")
+    if m_values.min() == m_values.max():
+        raise ValueError("a slope needs at least two distinct m values")
+    if not np.all((means > 0) & (means < np.inf)):
+        raise ValueError("means must be finite and > 0 for a log-log fit")
     return float(np.polyfit(np.log(m_values), np.log(means), 1)[0])
 
 
@@ -149,7 +153,8 @@ def scaling_report(
 
 def theorem1_rhs_bound(d: float, m: int) -> float:
     """Upper bound (2/(e-2) + 1) * m^(-1/d) on the expected nearest-draw distance."""
-    if not d >= 1:
+    check_positive(d=d)
+    if d < 1:
         raise ValueError("d must be >= 1")
     check_counts(m=m)
     return (2.0 / (math.e - 2.0) + 1.0) * m ** (-1.0 / d)
@@ -180,7 +185,8 @@ def check_small_ball_bound(
 
 def lemma1_rhs(d: float, m: int, i_max: int) -> float:
     """Sum of 2^-i * ((1 - 2^(-(i+1)d))^m - (1 - 2^(-id))^m) for i = 0..i_max."""
-    if not d >= 1:
+    check_positive(d=d)
+    if d < 1:
         raise ValueError("d must be >= 1")
     check_counts(m=m, i_max=i_max)
     total = 0.0

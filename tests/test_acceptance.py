@@ -14,7 +14,7 @@ from scipy.stats import binomtest
 import distreg as dr
 from distreg.density_distance import default_grid, grid_integral, l1_distance
 from distreg.experiments import parse_config, run_experiment
-from distreg.regression import calibrate_sample_size, default_max_iter, family_grid
+from distreg.regression import calibrate_sample_size, calibration_target, default_max_iter, family_grid
 from distreg.theory_checks import lemma1_rhs, scaling_report
 
 
@@ -158,9 +158,7 @@ def test_c08_end_to_end_adaptive_regression():
     epsilon, meta = 0.2, dr.make_box_meta(1)
     lipschitz = meta.lipschitz_const
     grid = family_grid(meta, 16)
-    calibration = calibrate_sample_size(
-        meta, epsilon / (9.0 * lipschitz), 0.9, np.random.default_rng([8, 0]), grid
-    )
+    calibration = calibrate_sample_size(meta, calibration_target(epsilon, meta), 0.9, np.random.default_rng([8, 0]), grid)
     results = _run_adaptive_batch(meta, grid, epsilon, calibration.n, 100, 800)
     converged = [(res, err) for res, err in results if res.converged]
     threshold_ok = all(res.accepted_distance <= epsilon / (3.0 * lipschitz) for res, _ in converged)
@@ -178,13 +176,10 @@ def test_c08_end_to_end_adaptive_regression():
 
 def test_c09_iteration_trend_report_only():
     epsilon, meta = 0.6, dr.make_box_meta(1)
-    lipschitz = meta.lipschitz_const
     grid = family_grid(meta, 16)
     medians = {}
     for idx, eps in enumerate((epsilon, epsilon / 2.0)):
-        cal = calibrate_sample_size(
-            meta, eps / (9.0 * lipschitz), 0.9, np.random.default_rng([9, idx, 0]), grid
-        )
+        cal = calibrate_sample_size(meta, calibration_target(eps, meta), 0.9, np.random.default_rng([9, idx, 0]), grid)
         results = _run_adaptive_batch(meta, grid, eps, cal.n, 100, 900 + idx)
         medians[eps] = float(np.median([res.iterations for res, _ in results]))
     factor = medians[epsilon / 2.0] / medians[epsilon]

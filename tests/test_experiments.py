@@ -82,7 +82,8 @@ def test_lemma1_experiment_rhs_value(tmp_path):
     )
     report = run_experiment(config)
     assert report.header == "d,m,lhs,rhs,stderr,holds"
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 1
     assert abs(float(rows[0]["rhs"]) - 0.666667) <= 1e-5
     assert rows[0]["holds"] == "true"
@@ -107,7 +108,8 @@ def test_small_ball_experiment_schema(tmp_path):
         f"experiment: small_ball\nseed: 1\ntrials: 2000\nd_list: [1, 2]\ni_max: 5\nout_path: {out}\n"
     )
     report = run_experiment(config)
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 2 * 6
     assert report.assert_ok
     assert set(rows[0]) == {"d", "i", "radius", "empirical_mass", "bound", "holds"}
@@ -133,7 +135,8 @@ def test_kernel_kernel_experiment_runs(tmp_path):
         f"experiment: kernel_kernel_baseline\nseed: 2\ntrials: 4\nm: 8\nn: 64\nout_path: {out}\n"
     )
     report = run_experiment(config)
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     assert set(rows[0]) == {"trial", "estimate", "truth", "abs_err", "m", "n"}
 
@@ -144,7 +147,8 @@ def test_calibrate_experiment_trace(tmp_path):
         f"experiment: calibrate\nseed: 9\ntarget_err: 0.3\ntrials: 20\nout_path: {out}\n"
     )
     report = run_experiment(config)
-    rows = list(csv.DictReader(out.open()))
+    with out.open() as fh:
+        rows = list(csv.DictReader(fh))
     assert rows[-1]["passed"] == "true"
     assert int(rows[-1]["candidate_n"]) == report.summary["n"]
 
@@ -234,7 +238,7 @@ def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
         (["lemma1", "--config", str(tmp_path / "missing.yaml")], "cannot read config"),
         (["lemma1", "--out", str(tmp_path / "no_dir" / "out.csv")], "output directory does not exist"),
         (["lemma1", "--out", str(tmp_path)], "output path is a directory"),
-        (["lemma1", "--seed", "-1", "--out", str(tmp_path / "range.csv")], "seed must be >= 0"),
+        (["lemma1", "--seed", "-1", "--out", str(tmp_path / "range.csv")], "seed must be an integer >= 0, got -1"),
     ]:
         assert main(argv) == 2
         captured = capsys.readouterr()
@@ -268,13 +272,15 @@ def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
         ("kernel_kernel_baseline", "meta: {label_fn: bogus}\n", "unknown label_fn: 'bogus'"),
         ("kernel_kernel_baseline", "meta: {lipschitz_const: .inf}\n", "lipschitz_const must be finite and > 0"),
         ("small_ball", "meta: {hi: 0.0, distance_scale: .inf}\n", "distance_scale must be finite and > 0"),
-        ("lemma1", "seed: -1\n", "seed must be >= 0"),
+        ("lemma1", "seed: -1\n", "seed must be an integer >= 0, got -1"),
         ("adaptive_regression", "n: 16\nepsilon: 1.0e-120\nmeta: {dim: 3}\n", "default max_iter"),
         ("small_ball", "d_list: [0]\n", "d_list must be a non-empty list of ints >= 1"),
         ("small_ball", "meta: {dim: 99}\n", "takes its dims from d_list"),
         ("lemma1", "meta: {dim: 1}\n", "takes its dims from d_list"),
         ("theorem1_scaling", "meta: {dim: 2}\n", "takes its dims from d_list"),
         ("theorem1_scaling", "d_list: []\n", "d_list must be a non-empty list of ints >= 1"),
+        ("theorem1_scaling", "m_list: [16]\n", "m_list needs two distinct m, got [16]"),
+        ("theorem1_scaling", "m_list: [16, 16]\n", "m_list needs two distinct m, got [16, 16]"),
         ("lemma1", "m_list: [0, 4]\n", "m_list must be a non-empty list of ints >= 1"),
         ("kernel_kernel_baseline", "m: 0\n", "m must be an integer >= 1"),
         ("adaptive_regression", "max_iter: -2\n", "max_iter must be an integer >= 1"),
@@ -283,7 +289,7 @@ def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
         ("adaptive_regression", "epsilon: -1\n", "epsilon must be finite and > 0"),
         ("adaptive_regression", "epsilon: .inf\n", "epsilon must be finite and > 0"),
         ("adaptive_regression", "epsilon: 100\n", "target_err must lie in (0, 2]"),
-        ("adaptive_regression", "confidence: 0\n", "confidence must lie in (0, 1)"),
+        ("adaptive_regression", "confidence: 0\n", "confidence must be finite and > 0, got 0"),
         ("adaptive_regression", "calibration_trials: 1\n", "trials must be an integer >= 2"),
         ("calibrate", "confidence: 1.5\n", "confidence must lie in (0, 1)"),
         ("calibrate", "trials: 1\n", "trials must be an integer >= 2"),

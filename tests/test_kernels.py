@@ -177,7 +177,7 @@ def test_kde_build_errors():
     with pytest.raises(ValueError):
         dr.kde_build([], 1.0, dr.BOXCAR)
     for bad in (0.0, -1.0, math.nan, math.inf):
-        with pytest.raises(ValueError, match="bandwidth must be positive"):
+        with pytest.raises(ValueError, match="bandwidth must be finite and > 0"):
             dr.kde_build([[0.0]], bad, dr.BOXCAR)
     with pytest.raises(ValueError):
         dr.kde_build([[0.0, 1.0], [2.0]], 1.0, dr.BOXCAR)
@@ -193,12 +193,24 @@ def test_kde_build_errors():
     rows = dr.DensityEstimate([[0, 1], [2, 3]], 0.5, dr.EPANECHNIKOV)
     assert rows.points.dtype == float and np.array_equal(rows.points, [[0.0, 1.0], [2.0, 3.0]])
     assert not rows.points.flags.writeable
+    for bandwidth in (1, np.int64(2), np.float64(0.5)):
+        assert type(dr.DensityEstimate([[0.0]], bandwidth, dr.BOXCAR).bandwidth) is float
     # The radial constants are tabulated for dims 1-3 only.
     with pytest.raises(ValueError, match="dims 1-3, not 4"):
         dr.kde_build(np.zeros((2, 4)), 1.0, dr.GAUSSIAN)
     for dim in (0, 4):
         with pytest.raises(ValueError, match="dims 1-3"):
             radial_normalizer("gaussian", dim)
+
+
+def test_estimates_compare_and_hash_by_identity():
+    """An estimate holds an ndarray, so field-wise == was ambiguous and hash() failed; both go by identity."""
+    a = dr.kde_build([0.0, 1.0], 0.5, dr.EPANECHNIKOV)
+    b = dr.kde_build([0.0, 1.0], 0.5, dr.EPANECHNIKOV)
+    assert a == a and a != b and a in [b, a] and a not in [b]
+    assert len({a, b, a}) == 2
+    labeled = dr.LabeledEstimate(a, 1.0)
+    assert labeled == dr.LabeledEstimate(a, 1.0) and labeled != dr.LabeledEstimate(b, 1.0)
 
 
 @pytest.mark.parametrize("kind", list(dr.KERNELS))

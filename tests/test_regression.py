@@ -222,9 +222,10 @@ def test_default_max_iter_heuristic():
 
 
 def test_threshold_budget_and_lemma1_bound_read_the_world():
-    """L and d come from MetaDistribution alone: epsilon/(3L), 10(6L/epsilon)^d and lemma1's rhs at meta.dim."""
+    """L and d come from MetaDistribution alone: epsilon/(3L), 10(6L/epsilon)^d, epsilon/(9L) and lemma1's rhs at meta.dim."""
     meta = dr.make_box_meta(1, lipschitz_const=2.0)
     assert default_max_iter(0.2, meta) == 600
+    assert dr.calibration_target(0.9, meta) == pytest.approx(0.05, rel=1e-15)
     rng = np.random.default_rng([50, 0])
     target = dr.draw_samples(meta, dr.draw_distribution(meta, rng), 16384, rng)
     result = dr.adaptive_closest_point(meta, target, 0.2, 16384, default_max_iter(0.2, meta), rng, family_grid(meta, 16))

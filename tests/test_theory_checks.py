@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -81,6 +82,9 @@ def test_theorem1_rhs_bound_values():
     assert dr.theorem1_rhs_bound(1.0, 16) == pytest.approx(0.236526, abs=1e-6)
     with pytest.raises(ValueError):
         dr.theorem1_rhs_bound(0.5, 4)
+    # A d in (0, 1) passes the positivity rule and fails the bounds' own d >= 1.
+    with pytest.raises(ValueError, match="^d must be >= 1$"):
+        lemma1_rhs(0.5, 4, 3)
 
 
 def test_monte_carlo_means_stay_below_theorem1_bound():
@@ -224,6 +228,8 @@ NAN_CASES = {
     "lemma1_rhs": (lemma1_rhs, (math.nan, 4, 3)),
     "fit_scaling_exponent": (dr.fit_scaling_exponent, ([1, 2], [math.nan, 1])),
     "fit_scaling_exponent_m": (dr.fit_scaling_exponent, ([math.nan, 2], [1.0, 0.5])),
+    "fit_scaling_exponent_one_distinct_m": (dr.fit_scaling_exponent, ([16, 16], [0.5, 0.4])),
+    "fit_scaling_exponent_inf_mean": (dr.fit_scaling_exponent, ([16, 64], [math.inf, 1.0])),
     "oracle_label": (dr.oracle_label, (NAN_META, NAN_HANDLE)),
     "true_distance": (dr.true_distance, (NAN_META, NAN_HANDLE, NAN_META.center())),
 }
@@ -264,6 +270,7 @@ COUNT_CASES = {
     "MetaDistribution-dim": ("dim", True, lambda v, rng: dr.MetaDistribution(dim=v)),
     "MetaDistribution-dim-float": ("dim", 1.5, lambda v, rng: dr.MetaDistribution(dim=v)),
     "MetaDistribution-dim-zero": ("dim", 0, lambda v, rng: dr.MetaDistribution(dim=v)),
+    "GridSpec-points_per_axis-str": ("points_per_axis", "8", lambda v, rng: dr.GridSpec((0.0,), (1.0,), v)),
 }
 
 
@@ -294,6 +301,27 @@ POSITIVE_CASES = {
         "h", math.inf, lambda v, rng: dr.kernel_kernel_estimate(DATASET, DATASET[0].estimate, v, dr.EPANECHNIKOV, GRID_1D)
     ),
     "adaptive-epsilon": ("epsilon", math.inf, lambda v, rng: dr.adaptive_closest_point(M1, TARGET, v, 8, 8, rng, GRID_1D)),
+    "calibration_target-epsilon-bool": ("epsilon", True, lambda v, rng: dr.calibration_target(v, M1)),
+    "DensityEstimate-bandwidth-bool": ("bandwidth", True, lambda v, rng: dr.DensityEstimate([[0.0]], v, dr.BOXCAR)),
+    "DensityEstimate-bandwidth-str": ("bandwidth", "0.5", lambda v, rng: dr.DensityEstimate([[0.0]], v, dr.BOXCAR)),
+    "kde_build-bandwidth-bool": ("bandwidth", True, lambda v, rng: dr.kde_build([0.0, 1.0], v, dr.EPANECHNIKOV)),
+    "kde_build-bandwidth-str": ("bandwidth", "0.5", lambda v, rng: dr.kde_build([0.0, 1.0], v, dr.EPANECHNIKOV)),
+    "calibrate_sample_size-target_err-bool": (
+        "target_err", True, lambda v, rng: dr.calibrate_sample_size(M1, v, 0.9, rng, GRID_1D, 2)
+    ),
+    "calibrate_sample_size-target_err-str": (
+        "target_err", "0.1", lambda v, rng: dr.calibrate_sample_size(M1, v, 0.9, rng, GRID_1D, 2)
+    ),
+    "calibrate_sample_size-confidence-bool": (
+        "confidence", True, lambda v, rng: dr.calibrate_sample_size(M1, 0.5, v, rng, GRID_1D, 2)
+    ),
+    "calibrate_sample_size-confidence-str": (
+        "confidence", "0.9", lambda v, rng: dr.calibrate_sample_size(M1, 0.5, v, rng, GRID_1D, 2)
+    ),
+    "theorem1_rhs_bound-d-bool": ("d", True, lambda v, rng: dr.theorem1_rhs_bound(v, 4)),
+    "theorem1_rhs_bound-d-str": ("d", "2", lambda v, rng: dr.theorem1_rhs_bound(v, 4)),
+    "lemma1_rhs-d-bool": ("d", True, lambda v, rng: lemma1_rhs(v, 4, 3)),
+    "lemma1_rhs-d-str": ("d", "2", lambda v, rng: lemma1_rhs(v, 4, 3)),
 }
 
 
@@ -305,6 +333,24 @@ def test_infinite_or_nan_values_are_rejected_at_the_public_boundary(name, value,
     with pytest.raises(ValueError, match=f"^{name} must be finite and > 0, got {value!r}$"):
         call(value, rng)
     assert rng.bit_generator.state == state
+
+
+# the rule's message, the bad value, and a call that passes it where a real number that may be 0 goes
+REAL_CASES = {
+    "ball_mass-r-bool": ("radius must be nonnegative", True, lambda v: dr.ball_mass(M1, S1, v)),
+    "ball_mass-r-str": ("radius must be nonnegative", "0.1", lambda v: dr.ball_mass(M1, S1, v)),
+    "MetaDistribution-lo-bool": ("parameter box requires finite lo <= hi", True, lambda v: dr.MetaDistribution(lo=v, hi=1.0)),
+    "MetaDistribution-lo-str": ("parameter box requires finite lo <= hi", "0", lambda v: dr.MetaDistribution(lo=v)),
+    "MetaDistribution-hi-bool": ("parameter box requires finite lo <= hi", True, lambda v: dr.MetaDistribution(hi=v)),
+    "MetaDistribution-hi-str": ("parameter box requires finite lo <= hi", "1", lambda v: dr.MetaDistribution(hi=v)),
+}
+
+
+@pytest.mark.parametrize("message,value,call", REAL_CASES.values(), ids=REAL_CASES.keys())
+def test_a_bool_or_a_string_is_not_taken_for_a_real_number(message, value, call):
+    """A bool or a numeric string where a real number goes is the rule's ValueError, not a TypeError or a cast."""
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call(value)
 
 
 def _small_ball_by_radius(meta, s, i_max, trials, rng):
