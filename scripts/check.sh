@@ -4,8 +4,9 @@
 #   scripts/check.sh
 #
 # 1. the test suite (tests/);
-# 2. scripts/raise_coverage.py: the test suite again under a line trace, which
-#    fails if any raise statement in src/distreg/*.py never runs;
+# 2. scripts/statement_coverage.py: the test suite again under a line trace,
+#    which fails if any statement in src/distreg/*.py never runs (docstrings
+#    and the body of a __main__ guard left out);
 # 3. the benchmark's own tests (perfbench/);
 # 4. scripts/run_all.py --assert in a temporary directory, once with one
 #    trial-loop worker and once with DISTREG_THREADS=2, then each regenerated
@@ -24,7 +25,7 @@ export PYTHONPATH="$ROOT/src${PYTHONPATH:+:$PYTHONPATH}"
 cd "$ROOT"
 
 python -m pytest -q --continue-on-collection-errors
-python scripts/raise_coverage.py
+python scripts/statement_coverage.py
 python -m pytest -q perfbench
 
 WORK=$(mktemp -d)

@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .kernels import DensityEstimate, kde_eval_many
-from .meta_world import check_counts
+from .meta_world import check_counts, real_coordinates
 
 __all__ = [
     "GridSpec",
@@ -45,8 +45,7 @@ class GridSpec:
     points_per_axis: int
 
     def __post_init__(self):
-        lo = tuple(float(v) for v in np.atleast_1d(self.lo))
-        hi = tuple(float(v) for v in np.atleast_1d(self.hi))
+        lo, hi = real_coordinates(self.lo, "lo"), real_coordinates(self.hi, "hi")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
         if len(lo) != len(hi) or not 1 <= len(lo) <= 3:

@@ -11,15 +11,15 @@ import json
 import os
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, dataclass, field
-from typing import Any, Callable, get_args, get_type_hints
+from dataclasses import asdict, dataclass, field, fields
+from typing import Any, Callable
 
 import numpy as np
 import yaml
 
 from . import __version__
 from .density_distance import GridSpec
-from .kernels import KERNELS, kde_fit
+from .kernels import KernelSpec, kde_fit
 from .meta_world import MetaDistribution, check_counts, check_positive, draw_distribution, draw_samples, oracle_label
 from .regression import (
     adaptive_closest_point,
@@ -94,33 +94,12 @@ DEFAULTS: dict[str, dict[str, Any]] = {
 EXPERIMENTS = tuple(DEFAULTS)
 
 
-# The YAML types each annotated type accepts; a bool is never an int or a float.
-_ACCEPTED = {int: (int,), float: (int, float), str: (str,)}
-
-
-def _type_error(key: str, value: Any, hint: Any) -> str | None:
-    """Why value does not fit the annotation hint of config key, or None if it fits."""
-    args = get_args(hint)
-    expected = next(a for a in args if a is not type(None)) if type(None) in args else hint
-    if expected in _ACCEPTED:
-        ok = isinstance(value, _ACCEPTED[expected]) and not isinstance(value, bool)
-        return None if ok else f"{key} must be {expected.__name__}, got {value!r}"
-    ok = isinstance(value, list) and all(_type_error(key, v, int) is None for v in value)  # list[int]
-    return None if ok else f"{key} must be a list of int, got {value!r}"
-
-
 def _known_values(schema: type, raw: dict, what: str) -> dict[str, Any]:
-    """raw without its nulls (a null keeps the default); each key annotated in schema, each value of its type."""
-    hints = get_type_hints(schema)
-    unknown = set(raw) - set(hints)
+    """raw without its nulls (a null keeps the default), after checking that schema has a field for each key."""
+    unknown = set(raw) - {f.name for f in fields(schema)}
     if unknown:
-        raise ConfigError(f"unknown {what} keys: {sorted(unknown)}")
-    values = {key: value for key, value in raw.items() if value is not None}
-    for key, value in values.items():
-        problem = _type_error(key, value, hints[key])
-        if problem:
-            raise ConfigError(f"invalid {what}: {problem}")
-    return values
+        raise ConfigError(f"unknown {what} keys: {sorted(unknown, key=str)}")
+    return {key: value for key, value in raw.items() if value is not None}
 
 
 def parse_config(text: str, experiment: str | None = None, **overrides: Any) -> ExperimentConfig:
@@ -153,48 +132,48 @@ def parse_config(text: str, experiment: str | None = None, **overrides: Any) -> 
         raise ConfigError("meta must be a mapping")
     raw.update((key, value) for key, value in overrides.items() if value is not None)
     merged = {**DEFAULTS[name], **_known_values(ExperimentConfig, raw, "config")}
-    meta = _known_values(MetaDistribution, meta_raw, "meta")
-    config = ExperimentConfig(experiment=name, meta=meta, **merged)
-    if not config.out_path:
-        config.out_path = f"distreg_{name}.csv"
-    if config.kernel is not None and config.kernel not in KERNELS:
-        raise ConfigError(f"unknown kernel: {config.kernel!r}")
-    _check_ranges(config)
-    return config
-
-
-# Config fields that count something: each value, or each entry of a list, must be >= 1.
-_COUNT_FIELDS = ("trials", "d_list", "m_list", "i_max", "n", "m", "max_iter", "calibration_trials")
-
-
-def _check_ranges(config: ExperimentConfig) -> None:
-    """Reject a seed < 0, bad counts and h, epsilon not finite and > 0, then build the run's plan."""
-    counts = {key: getattr(config, key) for key in _COUNT_FIELDS}
-    for key, value in counts.items():
-        if isinstance(value, list) and (not value or min(value) < 1):
-            raise ConfigError(f"{key} must be a non-empty list of ints >= 1, got {value!r}")
+    config = ExperimentConfig(experiment=name, meta=_known_values(MetaDistribution, meta_raw, "meta"), **merged)
     try:
-        check_counts(0, seed=config.seed)
-        check_counts(**{key: value for key, value in counts.items() if isinstance(value, int)})
-        check_positive(**{key: getattr(config, key) for key in ("h", "epsilon") if getattr(config, key) is not None})
         _plan(config)
     except ValueError as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
+    config.out_path = config.out_path or f"distreg_{name}.csv"
+    return config
 
 
-def _plan(config: ExperimentConfig) -> tuple[list[MetaDistribution], GridSpec | None, int | None, dict | None]:
-    """What the run builds before its first draw: (metas, grid, max_iter, calibration); ValueError if it cannot.
+# Config fields that count something: each value that is set must be an integer >= 1.
+_COUNT_FIELDS = ("trials", "i_max", "n", "m", "max_iter", "calibration_trials")
 
-    A theory sweep gets one meta per entry of d_list and None for the rest.  An estimator run
-    gets the configured meta, its quadrature grid, the adaptive draw budget and the keyword
-    arguments of its calibrate_sample_size call, each None where the run has none.
+
+def _plan(
+    config: ExperimentConfig,
+) -> tuple[list[MetaDistribution], GridSpec | None, KernelSpec | None, int | None, dict | None]:
+    """Check each value by the rule its run applies, then return what the run builds before its first draw.
+
+    The plan is (metas, grid, kernel, max_iter, calibration); ValueError if any value is out of
+    its rule.  A theory sweep gets one meta per entry of d_list and None for the rest.  An
+    estimator run gets the configured meta, its quadrature grid, its kernel, the adaptive draw
+    budget and the keyword arguments of its calibrate_sample_size call, each None where the run
+    has none.
     """
+    values = {key: value for key, value in vars(config).items() if value is not None}
+    check_counts(0, seed=config.seed)
+    check_counts(**{key: values[key] for key in _COUNT_FIELDS if key in values})
+    for key in ("d_list", "m_list"):
+        if key in values:
+            if not (isinstance(values[key], list) and values[key]):
+                raise ValueError(f"{key} must be a non-empty list of ints >= 1, got {values[key]!r}")
+            check_counts(**{f"{key}[{i}]": entry for i, entry in enumerate(values[key])})
+    check_positive(**{key: values[key] for key in ("h", "epsilon", "target_err", "confidence") if key in values})
+    kernel = KernelSpec(config.kernel) if config.kernel is not None else None
+    if not isinstance(config.out_path, str):
+        raise ValueError(f"out_path must be a string, got {config.out_path!r}")
     if "d_list" in DEFAULTS[config.experiment]:
         if "dim" in config.meta:
             raise ValueError("a theory sweep takes its dims from d_list; meta must not set dim")
         if config.experiment == "theorem1_scaling" and len(set(config.m_list)) < 2:
             raise ValueError(f"theorem1_scaling fits a slope: m_list needs two distinct m, got {config.m_list!r}")
-        return [MetaDistribution(**config.meta, dim=d) for d in config.d_list], None, None, None
+        return [MetaDistribution(**config.meta, dim=d) for d in config.d_list], None, None, None, None
     meta = MetaDistribution(**config.meta)
     grid = family_grid(meta, 16 if config.experiment == "calibrate" else min(config.n or 16, 16))
     max_iter = calibration = None
@@ -207,7 +186,7 @@ def _plan(config: ExperimentConfig) -> tuple[list[MetaDistribution], GridSpec | 
     if calibration is not None:
         calibration.update(confidence=config.confidence, grid=grid)
         check_calibration(**calibration)
-    return [meta], grid, max_iter, calibration
+    return [meta], grid, kernel, max_iter, calibration
 
 
 def serialize_config(config: ExperimentConfig) -> str:
@@ -317,9 +296,8 @@ def _run_lemma1(config: ExperimentConfig):
 
 def _run_adaptive_regression(config: ExperimentConfig):
     header = "trial,label,truth,abs_err,iterations,samples_drawn,converged"
-    (meta,), grid, max_iter, calibration = _plan(config)
+    (meta,), grid, kernel, max_iter, calibration = _plan(config)
     epsilon = config.epsilon
-    kernel = KERNELS[config.kernel]
     n, calibrated = config.n, None
     if calibration is not None:
         calibrated = calibrate_sample_size(meta, rng=_rng(config.seed, 0), kernel=kernel, **calibration)
@@ -350,8 +328,7 @@ def _run_adaptive_regression(config: ExperimentConfig):
 
 def _run_kernel_kernel_baseline(config: ExperimentConfig):
     header = "trial,estimate,truth,abs_err,m,n"
-    (meta,), grid, _, _ = _plan(config)
-    kernel = KERNELS[config.kernel]
+    (meta,), grid, kernel, _, _ = _plan(config)
 
     def one_trial(t: int) -> tuple:
         rng = _rng(config.seed, 1, t)
@@ -370,8 +347,8 @@ def _run_kernel_kernel_baseline(config: ExperimentConfig):
 
 def _run_calibrate(config: ExperimentConfig):
     header = "candidate_n,mean_l1,stderr,passed"
-    (meta,), _, _, calibration = _plan(config)
-    result = calibrate_sample_size(meta, rng=_rng(config.seed, 0), kernel=KERNELS[config.kernel], **calibration)
+    (meta,), _, kernel, _, calibration = _plan(config)
+    result = calibrate_sample_size(meta, rng=_rng(config.seed, 0), kernel=kernel, **calibration)
     rows = [tuple(entry) for entry in result.history]
     summary = {"n": result.n, "capped": result.capped}
     return header, rows, summary, not result.capped

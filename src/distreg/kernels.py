@@ -73,7 +73,7 @@ class KernelSpec:
     kind: str
 
     def __post_init__(self):
-        if self.kind not in _PROFILES:
+        if not isinstance(self.kind, str) or self.kind not in _PROFILES:
             raise ValueError(f"unknown kernel kind: {self.kind!r}")
 
     @property

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,10 +36,12 @@ __all__ = [
     "ball_mass",
     "check_counts",
     "check_positive",
+    "real_coordinates",
 ]
 
 _FAMILIES = ("uniform_location", "gaussian_location")
 _LABEL_FNS = ("coordinate_sum", "euclidean_norm")
+_FLOAT_MAX = sys.float_info.max  # the largest finite float; an integer above it has no float
 
 
 def check_counts(least: int = 1, **counts) -> None:
@@ -53,10 +56,18 @@ def _is_real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
+def real_coordinates(value, name: str) -> tuple[float, ...]:
+    """value, a real number or a flat sequence of them, as a tuple of floats; ValueError on a bool or any other entry."""
+    coords = np.atleast_1d(np.asarray(value, dtype=object))
+    if not all(_is_real(v) for v in coords):  # a row of a nested sequence is not a real number either
+        raise ValueError(f"{name} must be a sequence of real numbers, got {value!r}")
+    return tuple(float(v) for v in coords)
+
+
 def check_positive(**values) -> None:
     """ValueError unless every value is a real number (not a bool) that is finite and > 0, so not nan."""
     for name, value in values.items():
-        if not (_is_real(value) and 0 < value < math.inf):
+        if not (_is_real(value) and 0 < value <= _FLOAT_MAX):
             raise ValueError(f"{name} must be finite and > 0, got {value!r}")
 
 
@@ -96,7 +107,7 @@ class MetaDistribution:
         if self.label_fn not in _LABEL_FNS:
             raise ValueError(f"unknown label_fn: {self.label_fn!r}")
         check_counts(dim=self.dim)
-        if not (_is_real(self.lo) and _is_real(self.hi) and -math.inf < self.lo <= self.hi < math.inf):
+        if not (_is_real(self.lo) and _is_real(self.hi) and -_FLOAT_MAX <= self.lo <= self.hi <= _FLOAT_MAX):
             raise ValueError("parameter box requires finite lo <= hi")
         object.__setattr__(self, "lo", float(self.lo))
         object.__setattr__(self, "hi", float(self.hi))
@@ -119,9 +130,7 @@ class DistributionHandle:
     theta: tuple[float, ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "theta", tuple(float(v) for v in np.atleast_1d(self.theta))
-        )
+        object.__setattr__(self, "theta", real_coordinates(self.theta, "theta"))
 
 
 make_box_meta = MetaDistribution  # the public name: the meta-distribution on the cube [lo, hi]^dim

@@ -24,6 +24,7 @@ import numpy as np
 from .density_distance import (
     GridSpec,
     box_grid,
+    default_points_per_axis,
     grid_values,
     l1_distance,
     l1_from_values,
@@ -149,6 +150,7 @@ def family_grid(meta: MetaDistribution, n: int) -> GridSpec:
     integer >= 1.
     """
     check_counts(n=n)
+    default_points_per_axis(meta.dim)  # rejects dim > 3 before any array of dim entries is built
     # Hard spread bound for uniform members; generous tail bound for gaussian.
     sigma_cap = meta.base_width / 2.0 if meta.family == "uniform_location" else 3.0 * meta.base_width
     reach = meta.base_width / 2.0 if meta.family == "uniform_location" else 8.0 * meta.base_width

@@ -1,15 +1,19 @@
 import csv
 import json
 import os
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+import yaml
+from hypothesis import example, given, settings, strategies as st
 
 import distreg as dr
 from distreg import experiments
 from distreg.cli import main
 from distreg.experiments import (
     ConfigError,
+    ExperimentConfig,
     parse_config,
     run_experiment,
     serialize_config,
@@ -57,6 +61,39 @@ def test_parse_rejects_unknown_keys():
     for meta in ("{shape: weird}", "{return: 1}"):
         with pytest.raises(ConfigError, match="unknown meta keys"):
             parse_config(f"experiment: lemma1\nmeta: {meta}\n")
+    # Keys of mixed types used to raise TypeError while they were sorted for the message.
+    with pytest.raises(ConfigError, match=r"unknown config keys: \[1, 'bogus'\]"):
+        parse_config("experiment: lemma1\n1: 2\nbogus: 3\n")
+
+
+# Integers that a float cannot hold are drawn too: 10**400 used to pass check_positive and overflow in float().
+_SCALARS = st.one_of(
+    st.none(), st.booleans(), st.integers(), st.sampled_from([10**400, -(10**400)]), st.floats(), st.text(max_size=6)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=2),
+    max_leaves=5,
+)
+_CONFIG_KEYS = [f.name for f in fields(ExperimentConfig) if f.name not in ("experiment", "meta")]
+_META_KEYS = [f.name for f in fields(dr.MetaDistribution)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    experiment=st.sampled_from(experiments.EXPERIMENTS),
+    doc=st.dictionaries(st.sampled_from(_CONFIG_KEYS), _VALUES, max_size=2),
+    meta=st.dictionaries(st.sampled_from(_META_KEYS), _VALUES, max_size=2) | _VALUES,
+)
+@example(experiment="lemma1", doc={}, meta={"distance_scale": 10**400})
+@example(experiment="calibrate", doc={"kernel": ["x"]}, meta={})
+def test_any_document_parses_to_a_config_or_is_a_config_error(experiment, doc, meta):
+    """Whatever the values, parse_config returns a config or raises ConfigError; never another exception."""
+    try:
+        config = parse_config(yaml.safe_dump({**doc, "meta": meta}), experiment)
+    except ConfigError:
+        return
+    assert isinstance(config, ExperimentConfig) and config.experiment == experiment
 
 
 def test_parse_rejects_experiment_mismatch():
@@ -247,16 +284,17 @@ def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "no_dir").exists()
     # A value of the wrong type is a config error, not a traceback or a silent cast.
     for text, message in [
-        ("trials: abc\n", "trials must be int"),
-        ("d_list: 3\n", "d_list must be a list of int"),
-        ("trials: 2.7\n", "trials must be int"),
-        ("meta: {dim: true}\n", "dim must be int"),
-        ("meta: {lo: '0'}\n", "lo must be float"),
-        ("meta: {dim: 2.0}\n", "dim must be int"),
+        ("trials: abc\n", "trials must be an integer >= 1, got 'abc'"),
+        ("d_list: 3\n", "d_list must be a non-empty list of ints >= 1, got 3"),
+        ("trials: 2.7\n", "trials must be an integer >= 1, got 2.7"),
+        ("meta: {dim: true}\n", "takes its dims from d_list"),
+        ("meta: {lo: '0'}\n", "finite lo <= hi"),
+        ("meta: {dim: 2.0}\n", "takes its dims from d_list"),
         ("meta: {lo: .nan}\n", "finite lo <= hi"),
         ("[1, 2]\n", "config must be a mapping"),
         ("meta: [1]\n", "meta must be a mapping"),
-        ("kernel: bogus\n", "unknown kernel: 'bogus'"),
+        ("kernel: bogus\n", "unknown kernel kind: 'bogus'"),
+        ("out_path: 5\n", "out_path must be a string, got 5"),
     ]:
         cfg.write_text(text)
         assert main(["lemma1", "--config", str(cfg)]) == 2
@@ -268,20 +306,22 @@ def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
         ("adaptive_regression", "meta: {dim: 4}\n", "dim <= 3 only"),
         ("kernel_kernel_baseline", "meta: {dim: 4}\n", "dim <= 3 only"),
         ("kernel_kernel_baseline", "meta: {dim: 0}\n", "dim must be an integer >= 1"),
+        ("kernel_kernel_baseline", "meta: {dim: true}\n", "dim must be an integer >= 1, got True"),
+        ("kernel_kernel_baseline", "meta: {dim: 2.0}\n", "dim must be an integer >= 1, got 2.0"),
         ("lemma1", "meta: {family: bogus}\n", "unknown family: 'bogus'"),
         ("kernel_kernel_baseline", "meta: {label_fn: bogus}\n", "unknown label_fn: 'bogus'"),
         ("kernel_kernel_baseline", "meta: {lipschitz_const: .inf}\n", "lipschitz_const must be finite and > 0"),
         ("small_ball", "meta: {hi: 0.0, distance_scale: .inf}\n", "distance_scale must be finite and > 0"),
         ("lemma1", "seed: -1\n", "seed must be an integer >= 0, got -1"),
         ("adaptive_regression", "n: 16\nepsilon: 1.0e-120\nmeta: {dim: 3}\n", "default max_iter"),
-        ("small_ball", "d_list: [0]\n", "d_list must be a non-empty list of ints >= 1"),
+        ("small_ball", "d_list: [0]\n", "d_list[0] must be an integer >= 1, got 0"),
         ("small_ball", "meta: {dim: 99}\n", "takes its dims from d_list"),
         ("lemma1", "meta: {dim: 1}\n", "takes its dims from d_list"),
         ("theorem1_scaling", "meta: {dim: 2}\n", "takes its dims from d_list"),
         ("theorem1_scaling", "d_list: []\n", "d_list must be a non-empty list of ints >= 1"),
         ("theorem1_scaling", "m_list: [16]\n", "m_list needs two distinct m, got [16]"),
         ("theorem1_scaling", "m_list: [16, 16]\n", "m_list needs two distinct m, got [16, 16]"),
-        ("lemma1", "m_list: [0, 4]\n", "m_list must be a non-empty list of ints >= 1"),
+        ("lemma1", "m_list: [0, 4]\n", "m_list[0] must be an integer >= 1, got 0"),
         ("kernel_kernel_baseline", "m: 0\n", "m must be an integer >= 1"),
         ("adaptive_regression", "max_iter: -2\n", "max_iter must be an integer >= 1"),
         ("kernel_kernel_baseline", "h: 0\n", "h must be finite and > 0"),
@@ -290,6 +330,7 @@ def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
         ("adaptive_regression", "epsilon: .inf\n", "epsilon must be finite and > 0"),
         ("adaptive_regression", "epsilon: 100\n", "target_err must lie in (0, 2]"),
         ("adaptive_regression", "confidence: 0\n", "confidence must be finite and > 0, got 0"),
+        ("lemma1", "confidence: 0\n", "confidence must be finite and > 0, got 0"),
         ("adaptive_regression", "calibration_trials: 1\n", "trials must be an integer >= 2"),
         ("calibrate", "confidence: 1.5\n", "confidence must lie in (0, 1)"),
         ("calibrate", "trials: 1\n", "trials must be an integer >= 2"),

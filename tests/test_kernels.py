@@ -174,6 +174,9 @@ def test_kde_eval_boundary_counts_both_kernels():
 def test_kde_build_errors():
     with pytest.raises(ValueError, match="unknown kernel kind: 'bogus'"):
         dr.KernelSpec("bogus")
+    # A kind that is not a string used to raise TypeError: unhashable type: 'list'.
+    with pytest.raises(ValueError, match=r"unknown kernel kind: \['x'\]"):
+        dr.KernelSpec(["x"])
     with pytest.raises(ValueError):
         dr.kde_build([], 1.0, dr.BOXCAR)
     for bad in (0.0, -1.0, math.nan, math.inf):

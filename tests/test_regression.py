@@ -254,6 +254,12 @@ def test_family_grid_rejects_a_bad_sample_size():
     assert family_grid(META_1D, np.int64(16)) == family_grid(META_1D, 16)
 
 
+def test_family_grid_rejects_a_large_dim_before_building_arrays():
+    """dim 10**12 used to allocate two arrays of 10**12 floats before the dim <= 3 check."""
+    with pytest.raises(ValueError, match="dim <= 3 only"):
+        family_grid(dr.MetaDistribution(dim=10**12), 16)
+
+
 @given(
     dim=st.integers(1, 3),
     n=st.integers(2, 4096),

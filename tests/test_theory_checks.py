@@ -322,6 +322,7 @@ POSITIVE_CASES = {
     "theorem1_rhs_bound-d-str": ("d", "2", lambda v, rng: dr.theorem1_rhs_bound(v, 4)),
     "lemma1_rhs-d-bool": ("d", True, lambda v, rng: lemma1_rhs(v, 4, 3)),
     "lemma1_rhs-d-str": ("d", "2", lambda v, rng: lemma1_rhs(v, 4, 3)),
+    "MetaDistribution-base_width-int-beyond-float": ("base_width", 10**400, lambda v, rng: dr.MetaDistribution(base_width=v)),
 }
 
 
@@ -343,12 +344,26 @@ REAL_CASES = {
     "MetaDistribution-lo-str": ("parameter box requires finite lo <= hi", "0", lambda v: dr.MetaDistribution(lo=v)),
     "MetaDistribution-hi-bool": ("parameter box requires finite lo <= hi", True, lambda v: dr.MetaDistribution(hi=v)),
     "MetaDistribution-hi-str": ("parameter box requires finite lo <= hi", "1", lambda v: dr.MetaDistribution(hi=v)),
+    "MetaDistribution-hi-int-beyond-float": ("parameter box requires finite lo <= hi", 10**400, lambda v: dr.MetaDistribution(hi=v)),
+    "DistributionHandle-str": ("theta must be a sequence of real numbers, got '0.5'", "0.5", dr.DistributionHandle),
+    "DistributionHandle-bool": ("theta must be a sequence of real numbers, got True", True, dr.DistributionHandle),
+    "DistributionHandle-bool-pair": (
+        "theta must be a sequence of real numbers, got (True, 0.5)", (True, 0.5), dr.DistributionHandle
+    ),
+    "GridSpec-lo-str": ("lo must be a sequence of real numbers, got '0.5'", "0.5", lambda v: dr.GridSpec(v, (1.0,), 8)),
+    "GridSpec-hi-bool": ("hi must be a sequence of real numbers, got True", True, lambda v: dr.GridSpec((0.0,), v, 8)),
+    "GridSpec-hi-bool-pair": (
+        "hi must be a sequence of real numbers, got (True, 0.5)", (True, 0.5), lambda v: dr.GridSpec((0.0, 0.0), v, 8)
+    ),
 }
 
 
 @pytest.mark.parametrize("message,value,call", REAL_CASES.values(), ids=REAL_CASES.keys())
 def test_a_bool_or_a_string_is_not_taken_for_a_real_number(message, value, call):
-    """A bool or a numeric string where a real number goes is the rule's ValueError, not a TypeError or a cast."""
+    """A bool, a numeric string or an integer beyond float range where a real number goes is the rule's ValueError.
+
+    Not a TypeError, an OverflowError or a cast.
+    """
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call(value)
 
