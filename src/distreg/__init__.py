@@ -40,7 +40,6 @@ from .regression import (
     kernel_kernel_estimate,
 )
 from .theory_checks import (
-    ScalingReport,
     SmallBallReport,
     check_small_ball_bound,
     dyadic_expectation_check,

@@ -273,12 +273,16 @@ def _run_small_ball(config: ExperimentConfig):
     header = "d,i,radius,empirical_mass,bound,holds"
     rows: list[tuple] = []
     devs: list[float] = []
+    p_values: list[float] = []
     for di, meta in enumerate(_plan(config)[0]):
         r = check_small_ball_bound(meta, meta.center(), config.i_max, config.trials, _rng(config.seed, di))
         rows += [(meta.dim, i, *row) for i, row in enumerate(zip(r.radii, r.empirical_mass, r.bound, r.holds))]
         devs += [abs(p - q) / sig for p, q, sig in zip(r.empirical_mass, r.exact_mass, r.stderr) if sig > 0]
-    ok = all(row[-1] for row in rows) and all(dev <= 3.0 for dev in devs)
-    return header, rows, {"max_sigma_dev": max(devs, default=0.0)}, ok
+        p_values += r.p_value
+    # Bonferroni over the rows of random mass (one per dev); a row of mass 0 or 1 has p 1 or 0.
+    family_p = min(1.0, min(p_values) * max(len(devs), 1))
+    ok = all(row[-1] for row in rows) and family_p >= 0.0027
+    return header, rows, {"max_sigma_dev": max(devs, default=0.0), "family_p_value": family_p}, ok
 
 
 def _run_lemma1(config: ExperimentConfig):

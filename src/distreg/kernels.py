@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .meta_world import check_positive
+from .meta_world import check_positive, real_array
 
 __all__ = [
     "KernelSpec",
@@ -136,7 +136,7 @@ class DensityEstimate:
     _last_eval: list = field(default_factory=lambda: [(None, None)], init=False, repr=False)
 
     def __post_init__(self):
-        pts = _checked(np.array(self.points, dtype=float))
+        pts = _checked(np.array(real_array(self.points, "points")))
         pts.flags.writeable = False
         object.__setattr__(self, "points", pts)
         radial_normalizer(self.kernel.kind, self.dim)  # rejects dim > 3
@@ -168,7 +168,7 @@ def _checked(pts: np.ndarray) -> np.ndarray:
 
 def _promoted(samples) -> np.ndarray:
     """Samples as a float array; 1D scalars are promoted to an (n, 1) column."""
-    pts = np.asarray(samples, dtype=float)
+    pts = real_array(samples, "samples")
     return pts[:, None] if pts.ndim == 1 else pts
 
 
@@ -342,7 +342,7 @@ def kde_eval_many(est: DensityEstimate, x=None, *, grid=None) -> np.ndarray:
 
 def kde_eval(est: DensityEstimate, x) -> float:
     """Evaluate the estimate at a single point of length dim."""
-    x = np.atleast_1d(np.asarray(x, dtype=float))
+    x = np.atleast_1d(real_array(x, "x"))
     if x.shape != (est.dim,):
         raise ValueError(f"query point must have length {est.dim}")
     return float(kde_eval_many(est, x[None, :])[0])

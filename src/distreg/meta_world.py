@@ -37,6 +37,7 @@ __all__ = [
     "check_counts",
     "check_positive",
     "real_coordinates",
+    "real_array",
 ]
 
 _FAMILIES = ("uniform_location", "gaussian_location")
@@ -59,9 +60,21 @@ def _is_real(value) -> bool:
 def real_coordinates(value, name: str) -> tuple[float, ...]:
     """value, a real number or a flat sequence of them, as a tuple of floats; ValueError on a bool or any other entry."""
     coords = np.atleast_1d(np.asarray(value, dtype=object))
-    if not all(_is_real(v) for v in coords):  # a row of a nested sequence is not a real number either
+    # A nested row is not a real number, nor is an integer that no float holds; inf and nan go to the caller.
+    if not all(_is_real(v) and (isinstance(v, (float, np.floating)) or abs(v) <= _FLOAT_MAX) for v in coords):
         raise ValueError(f"{name} must be a sequence of real numbers, got {value!r}")
     return tuple(float(v) for v in coords)
+
+
+def real_array(value, name: str) -> np.ndarray:
+    """value as a float array; ValueError unless np.asarray gives it a real, non-bool numeric dtype.
+
+    One test of the dtype, not of each element, so a float array passes in O(1) and is not copied.
+    """
+    arr = np.asarray(value)
+    if arr.dtype.kind not in "iuf":
+        raise ValueError(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
 
 
 def check_positive(**values) -> None:

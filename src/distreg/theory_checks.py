@@ -16,16 +16,13 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .meta_world import (
-    DistributionHandle, MetaDistribution, ball_mass, check_counts, check_positive, draw_thetas, sup_distances
-)
+from .meta_world import DistributionHandle, MetaDistribution, ball_mass, check_counts, check_positive
+from .meta_world import draw_thetas, real_array, sup_distances
 
 __all__ = [
-    "ScalingReport",
     "SmallBallReport",
     "Lemma1Result",
     "expected_min_distance",
-    "scaling_report",
     "fit_scaling_exponent",
     "theorem1_rhs_bound",
     "check_small_ball_bound",
@@ -42,23 +39,6 @@ _CHUNK_ELEMENTS = 2**20
 
 
 @dataclass(frozen=True)
-class ScalingReport:
-    """Mean nearest-member distance per m, with the fitted log-log slope."""
-
-    m_values: tuple[int, ...]
-    means: tuple[float, ...]
-    stderrs: tuple[float, ...]
-    slope: float
-    d: float
-
-    def __post_init__(self):
-        if not (len(self.m_values) == len(self.means) == len(self.stderrs)) or len(self.means) < 2:
-            raise ValueError("report needs equal-length sequences of length >= 2")
-        if any(s < 0 for s in self.stderrs):
-            raise ValueError("stderrs must be nonnegative")
-
-
-@dataclass(frozen=True)
 class SmallBallReport:
     """Empirical vs guaranteed mass of shrinking dyadic balls around s."""
 
@@ -68,6 +48,7 @@ class SmallBallReport:
     exact_mass: tuple[float, ...]
     stderr: tuple[float, ...]
     holds: tuple[bool, ...]
+    p_value: tuple[float, ...]  # exact two-sided binomial tail of each row's hit count
 
 
 class Lemma1Result(NamedTuple):
@@ -117,8 +98,8 @@ def expected_min_distance(
 
 def fit_scaling_exponent(m_values: Sequence[int], means: Sequence[float]) -> float:
     """Least-squares slope of log(mean) against log(m), over at least two distinct m."""
-    m_values = np.asarray(m_values, dtype=float)
-    means = np.asarray(means, dtype=float)
+    m_values = real_array(m_values, "m values")
+    means = real_array(means, "means")
     if len(m_values) != len(means) or len(means) < 2:
         raise ValueError("need equal-length sequences of length >= 2")
     if not np.all((m_values > 0) & (m_values < np.inf)):
@@ -130,27 +111,6 @@ def fit_scaling_exponent(m_values: Sequence[int], means: Sequence[float]) -> flo
     return float(np.polyfit(np.log(m_values), np.log(means), 1)[0])
 
 
-def scaling_report(
-    meta: MetaDistribution,
-    s: DistributionHandle,
-    m_values: Sequence[int],
-    trials: int,
-    rng: np.random.Generator,
-) -> ScalingReport:
-    means, stderrs = [], []
-    for m in m_values:
-        mean, stderr = expected_min_distance(meta, s, m, trials, rng)
-        means.append(mean)
-        stderrs.append(stderr)
-    return ScalingReport(
-        m_values=tuple(int(m) for m in m_values),
-        means=tuple(means),
-        stderrs=tuple(stderrs),
-        slope=fit_scaling_exponent(m_values, means),
-        d=float(meta.dim),
-    )
-
-
 def theorem1_rhs_bound(d: float, m: int) -> float:
     """Upper bound (2/(e-2) + 1) * m^(-1/d) on the expected nearest-draw distance."""
     check_positive(d=d)
@@ -158,6 +118,24 @@ def theorem1_rhs_bound(d: float, m: int) -> float:
         raise ValueError("d must be >= 1")
     check_counts(m=m)
     return (2.0 / (math.e - 2.0) + 1.0) * m ** (-1.0 / d)
+
+
+def _two_sided_binomial_p(hits: np.ndarray, trials: int, mass: np.ndarray) -> np.ndarray:
+    """2 * min(P(X <= k), P(X >= k)) for X ~ Binomial(trials, p), capped at 1, per (k, p) pair.
+
+    Exact summed tails, not a normal band, so a row that expects only a hit or two is
+    tested at its stated level.  A mass of 0 or 1 admits one count: p is 1 there, else 0.
+    """
+    j = np.arange(trials + 1.0)
+    log_choose = np.concatenate(([0.0], np.cumsum(np.log((trials - j[:-1]) / j[1:]))))
+    out = np.empty(len(hits))
+    for row, (k, p) in enumerate(zip(hits.tolist(), mass.tolist())):
+        if p in (0.0, 1.0):
+            out[row] = float(k == p * trials)
+            continue
+        pmf = np.exp(log_choose + j * math.log(p) + (trials - j) * math.log1p(-p))
+        out[row] = min(1.0, 2.0 * min(pmf[: k + 1].sum(), pmf[k:].sum()))
+    return out
 
 
 def check_small_ball_bound(
@@ -169,17 +147,19 @@ def check_small_ball_bound(
 ) -> SmallBallReport:
     """Empirical mass of B(s, 2^-i) for i = 0..i_max vs the 2^(-id) guarantee.
 
-    holds[i] allows a 3-sigma binomial band around the exact mass, which the
-    box geometry provides in closed form.
+    holds[i] allows a 3-sigma binomial band around the exact mass, which the box geometry
+    provides in closed form; p_value[i] is the exact binomial tail of the hit count at that mass.
     """
     check_counts(i_max=i_max, trials=trials)
     i = np.arange(i_max + 1)
     radii = 2.0**-i
-    empirical = (_min_distances(meta, s, 1, trials, rng)[:, None] <= radii).mean(axis=0)
+    hits = (_min_distances(meta, s, 1, trials, rng)[:, None] <= radii).sum(axis=0)
+    empirical = hits / trials
     exact = np.array([ball_mass(meta, s, r) for r in radii.tolist()])
     stderr = np.sqrt(exact * (1.0 - exact) / trials)
     bound = 2.0 ** (-i * meta.dim)
-    columns = radii, empirical, bound, exact, stderr, empirical >= bound - 3.0 * stderr
+    holds = empirical >= bound - 3.0 * stderr
+    columns = radii, empirical, bound, exact, stderr, holds, _two_sided_binomial_p(hits, trials, exact)
     return SmallBallReport(*(tuple(c.tolist()) for c in columns))
 
 
@@ -244,7 +224,7 @@ def dyadic_expectation_check(samples: Sequence[float]) -> tuple[float, float]:
     For samples in [0, 1]: mean <= dyadic_sum <= 2 * mean, since each t in
     bucket i satisfies 2^-(i+1) < t <= 2^-i (zeros carry weight zero).
     """
-    t = np.asarray(samples, dtype=float)
+    t = real_array(samples, "samples")
     weights = dyadic_weights(t)
     return float(t.mean()), float(weights.mean())
 

@@ -15,7 +15,7 @@ import distreg as dr
 from distreg.density_distance import default_grid, grid_integral, l1_distance
 from distreg.experiments import parse_config, run_experiment
 from distreg.regression import calibrate_sample_size, calibration_target, default_max_iter, family_grid
-from distreg.theory_checks import lemma1_rhs, scaling_report
+from distreg.theory_checks import lemma1_rhs
 
 
 def _report(num: int, name: str, ok: bool, detail: str) -> None:
@@ -30,9 +30,10 @@ def test_c01_theorem1_scaling_slope_and_envelope():
     envelope_ok = True
     for d in (1, 2, 3):
         meta = dr.make_box_meta(d)
-        rep = scaling_report(meta, meta.center(), m_values, 200, np.random.default_rng([1, d]))
-        worst_slope_gap = max(worst_slope_gap, abs(rep.slope + 1.0 / d))
-        for m, mean in zip(rep.m_values, rep.means):
+        rng = np.random.default_rng([1, d])
+        means = [dr.expected_min_distance(meta, meta.center(), m, 200, rng)[0] for m in m_values]
+        worst_slope_gap = max(worst_slope_gap, abs(dr.fit_scaling_exponent(m_values, means) + 1.0 / d))
+        for m, mean in zip(m_values, means):
             envelope_ok &= mean <= dr.theorem1_rhs_bound(d, m)
     elapsed = time.perf_counter() - start
     ok = worst_slope_gap <= 0.15 and envelope_ok and elapsed < 120

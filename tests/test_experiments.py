@@ -9,7 +9,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 import distreg as dr
-from distreg import experiments
+from distreg import experiments, theory_checks
 from distreg.cli import main
 from distreg.experiments import (
     ConfigError,
@@ -152,6 +152,26 @@ def test_small_ball_experiment_schema(tmp_path):
     assert set(rows[0]) == {"d", "i", "radius", "empirical_mass", "bound", "holds"}
 
 
+@pytest.mark.parametrize("seed", [0, 4, 31, 111])
+def test_small_ball_family_check_passes_where_a_per_row_three_sigma_band_failed(seed, tmp_path):
+    """At 120 000 trials these seeds put one of 18 rows past 3 sigma; the exact family-wise test passes them."""
+    report = run_experiment(
+        parse_config(f"experiment: small_ball\nseed: {seed}\ntrials: 120000\nout_path: {tmp_path / 'sb.csv'}\n")
+    )
+    assert report.summary["max_sigma_dev"] > 3.0
+    assert report.assert_ok and report.summary["family_p_value"] >= 0.0027
+
+
+@pytest.mark.parametrize("trials", [10_000, 120_000])
+def test_small_ball_catches_masses_taken_at_a_five_percent_larger_radius(trials, tmp_path, monkeypatch):
+    ball_mass = theory_checks.ball_mass
+    monkeypatch.setattr(theory_checks, "ball_mass", lambda meta, s, r: ball_mass(meta, s, 1.05 * r))
+    report = run_experiment(
+        parse_config(f"experiment: small_ball\nseed: 1\ntrials: {trials}\nout_path: {tmp_path / 'sb.csv'}\n")
+    )
+    assert not report.assert_ok and report.summary["family_p_value"] < 0.0027
+
+
 def test_adaptive_experiment_summary_fields(tmp_path):
     out = tmp_path / "ad.csv"
     config = parse_config(
@@ -176,6 +196,7 @@ def test_kernel_kernel_experiment_runs(tmp_path):
         rows = list(csv.DictReader(fh))
     assert len(rows) == 4
     assert set(rows[0]) == {"trial", "estimate", "truth", "abs_err", "m", "n"}
+    assert all(err == abs(pred - truth) for _, pred, truth, err, _, _ in report.rows)
 
 
 def test_calibrate_experiment_trace(tmp_path):
@@ -333,6 +354,7 @@ def test_cli_config_error_is_reported(tmp_path, capsys, monkeypatch):
         ("lemma1", "confidence: 0\n", "confidence must be finite and > 0, got 0"),
         ("adaptive_regression", "calibration_trials: 1\n", "trials must be an integer >= 2"),
         ("calibrate", "confidence: 1.5\n", "confidence must lie in (0, 1)"),
+        ("calibrate", "confidence: 1\n", "confidence must lie in (0, 1)"),
         ("calibrate", "trials: 1\n", "trials must be an integer >= 2"),
         ("calibrate", "target_err: 3\n", "target_err must lie in (0, 2]"),
         ("calibrate", "target_err: 0.0001\n", "below the grid resolution 0.00196"),

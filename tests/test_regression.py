@@ -11,7 +11,7 @@ from hypothesis import given, settings, strategies as st
 import distreg as dr
 from distreg import regression
 from distreg.density_distance import GridCoverageError, grid_values, l1_distance, l1_from_values
-from distreg.kernels import kde_fit
+from distreg.kernels import kde_fit, plug_in_bandwidth
 from distreg.regression import (
     UnreachableTargetError,
     calibrate_sample_size,
@@ -258,6 +258,15 @@ def test_family_grid_rejects_a_large_dim_before_building_arrays():
     """dim 10**12 used to allocate two arrays of 10**12 floats before the dim <= 3 check."""
     with pytest.raises(ValueError, match="dim <= 3 only"):
         family_grid(dr.MetaDistribution(dim=10**12), 16)
+
+
+@pytest.mark.parametrize("base_width", [0.25, 2.0])
+def test_family_grid_pads_a_gaussian_world_by_its_reach_and_spread(base_width):
+    """Gaussian members reach 8 sigma, and the pad adds three plug-in bandwidths at a spread of 3 sigma."""
+    meta = dr.make_box_meta(1, family="gaussian_location", base_width=base_width)
+    pad = 8.0 * base_width + 3.0 * plug_in_bandwidth(3.0 * base_width, 64, 1)
+    grid = family_grid(meta, 64)
+    assert grid.lo == pytest.approx((-pad,), rel=1e-12) and grid.hi == pytest.approx((1.0 + pad,), rel=1e-12)
 
 
 @given(

@@ -5,12 +5,13 @@ from fractions import Fraction
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.stats import binom
 
 import distreg as dr
 from distreg import theory_checks
 from distreg.meta_world import draw_thetas, sup_distances
 from distreg.regression import draw_labeled_dataset
-from distreg.theory_checks import dyadic_weights, lemma1_rhs, scaling_report
+from distreg.theory_checks import dyadic_weights, lemma1_rhs
 
 
 def unit_meta(dim):
@@ -70,10 +71,9 @@ def test_fit_scaling_exponent_rejects_bad_input():
 
 def test_monte_carlo_slope_near_minus_half_in_2d():
     meta = unit_meta(2)
-    report = scaling_report(
-        meta, meta.center(), [16, 64, 256, 1024, 4096], 200, np.random.default_rng(19)
-    )
-    assert -0.65 <= report.slope <= -0.35
+    m_values, rng = [16, 64, 256, 1024, 4096], np.random.default_rng(19)
+    means = [dr.expected_min_distance(meta, meta.center(), m, 200, rng)[0] for m in m_values]
+    assert -0.65 <= dr.fit_scaling_exponent(m_values, means) <= -0.35
 
 
 def test_theorem1_rhs_bound_values():
@@ -112,6 +112,23 @@ def test_small_ball_square_geometry():
     for i, r in enumerate(report.radii):
         assert report.bound[i] == 2.0 ** (-2 * i)
         assert report.exact_mass[i] == pytest.approx(min(2 * r, 1.0) ** 2)
+
+
+def test_two_sided_binomial_p_matches_scipy():
+    """The exact tail 2 * min(P(X <= k), P(X >= k)) against scipy, masses down to 1e-7, up to 130 000 trials."""
+    rng = np.random.default_rng(29)
+    for _ in range(40):
+        trials = int(rng.integers(1, 130_001))
+        mass = 10.0 ** rng.uniform(-7.0, 0.0, size=6)
+        mass[::2] = 1.0 - mass[::2] / 2.0
+        spread = np.ceil(6.0 * np.sqrt(trials * mass * (1.0 - mass))) + 3
+        hits = np.clip(rng.binomial(trials, mass) + rng.integers(-spread, spread + 1), 0, trials)
+        got = theory_checks._two_sided_binomial_p(hits, trials, mass)
+        tails = np.minimum(binom.cdf(hits, trials, mass), binom.sf(hits - 1, trials, mass))
+        assert got == pytest.approx(np.minimum(1.0, 2.0 * tails), rel=1e-8, abs=1e-300), trials
+    # A mass of 0 or 1 admits one count.
+    got = theory_checks._two_sided_binomial_p(np.array([0, 1, 7, 6]), 7, np.array([0.0, 0.0, 1.0, 1.0]))
+    assert got.tolist() == [1.0, 0.0, 1.0, 0.0]
 
 
 def test_small_ball_off_center_point():
@@ -355,6 +372,46 @@ REAL_CASES = {
     "GridSpec-hi-bool-pair": (
         "hi must be a sequence of real numbers, got (True, 0.5)", (True, 0.5), lambda v: dr.GridSpec((0.0, 0.0), v, 8)
     ),
+    "DistributionHandle-int-beyond-float": (
+        f"theta must be a sequence of real numbers, got ({10**400},)", (10**400,), dr.DistributionHandle
+    ),
+    "GridSpec-hi-int-beyond-float": (
+        f"hi must be a sequence of real numbers, got ({10**400},)", (10**400,), lambda v: dr.GridSpec((0.0,), v, 8)
+    ),
+    # Sample arrays take one dtype rule: a real, non-bool numeric dtype after np.asarray.
+    "kde_build-samples-bool": (
+        "samples must be an array of real numbers, got dtype bool", [True, False, True],
+        lambda v: dr.kde_build(v, 0.5, dr.EPANECHNIKOV),
+    ),
+    "kde_build-samples-str": (
+        "samples must be an array of real numbers, got dtype <U3", np.array(["0.1", "0.2", "0.3"]),
+        lambda v: dr.kde_build(v, 0.5, dr.EPANECHNIKOV),
+    ),
+    "select_bandwidth-samples-bool": (
+        "samples must be an array of real numbers, got dtype bool", [True, False, True], dr.select_bandwidth
+    ),
+    "DensityEstimate-points-bool": (
+        "points must be an array of real numbers, got dtype bool", [[True], [False]],
+        lambda v: dr.DensityEstimate(v, 0.5, dr.EPANECHNIKOV),
+    ),
+    "kde_eval-x-str": (
+        "x must be an array of real numbers, got dtype <U3", "0.5", lambda v: dr.kde_eval(DATASET[0].estimate, v)
+    ),
+    "kde_eval_many-x-bool": (
+        "samples must be an array of real numbers, got dtype bool", [True],
+        lambda v: dr.kde_eval_many(DATASET[0].estimate, v),
+    ),
+    "fit_scaling_exponent-m-str": (
+        "m values must be an array of real numbers, got dtype <U2", ["16", "64"],
+        lambda v: dr.fit_scaling_exponent(v, [1.0, 0.5]),
+    ),
+    "fit_scaling_exponent-means-bool": (
+        "means must be an array of real numbers, got dtype bool", [True, True],
+        lambda v: dr.fit_scaling_exponent([16, 64], v),
+    ),
+    "dyadic_expectation_check-bool": (
+        "samples must be an array of real numbers, got dtype bool", [True, False], dr.dyadic_expectation_check
+    ),
 }
 
 
@@ -404,6 +461,9 @@ def test_dyadic_weights_bucket_edges():
     assert list(w) == [1.0, 0.5, 0.25, 1.0, 0.5, 0.0]
     capped = dyadic_weights(np.array([2.0**-12]), i_max=10)
     assert capped[0] == 0.0
+    # Bucket i_max itself, (2^-(i_max+1), 2^-i_max], is kept; only the buckets past it are cut.
+    edge = dyadic_weights(np.array([2.0**-10, 0.75 * 2.0**-10, 2.0**-11]), i_max=10)
+    assert edge.tolist() == [2.0**-10, 2.0**-10, 0.0]
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
@@ -417,15 +477,3 @@ def test_telescoping_identity_is_exact(d, m):
 def test_telescoping_rejects_non_integer_d():
     with pytest.raises(ValueError):
         dr.telescoping_sums(1.5, 3, 10)
-
-
-def test_scaling_report_invariants():
-    report = scaling_report(
-        unit_meta(1), dr.DistributionHandle((0.5,)), [4, 16], 200, np.random.default_rng(27)
-    )
-    assert len(report.m_values) == len(report.means) == len(report.stderrs) == 2
-    assert all(s >= 0 for s in report.stderrs)
-    assert report.d == 1.0
-    for stderrs, message in [((0.0,), "equal-length sequences of length >= 2"), ((0.0, -0.1), "stderrs must be nonnegative")]:
-        with pytest.raises(ValueError, match=message):
-            dr.ScalingReport(m_values=(4, 16), means=(0.1, 0.2), stderrs=stderrs, slope=-1.0, d=1.0)
