@@ -13,12 +13,14 @@
 #    CSV of both runs compared byte for byte with the tracked results/;
 # 5. perfbench/run.py once per workload at seed 101 (--seconds 20): each run
 #    must print "correct": true and the row digest that perfbench/baseline.json
-#    records for that seed, and its setup_s and peak_rss_mb are printed, so an
-#    import or memory regression shows here too.  Then theory-mc at seeds 0
-#    and 4, seeds where small_ball's sampler check once failed on correct
-#    code: each run must print "correct": true (baseline.json records digests
-#    for seeds 101-110 only, so none is compared).  It reads perfbench and
-#    changes nothing in it.
+#    records for that seed.  Each run's failed/attempted operations,
+#    unit_p50_ms, setup_s and peak_rss_mb are printed: numbers the benchmark
+#    gate reads, so a failed operation, a slower unit (a memory-layout swing,
+#    say), an import or a memory regression shows in the log, though no bound
+#    is set on them here.  Then theory-mc at seeds 0 and 4, seeds where
+#    small_ball's sampler check once failed on correct code: each run must
+#    print "correct": true (baseline.json records digests for seeds 101-110
+#    only, so none is compared).  It reads perfbench and changes nothing in it.
 # Then it prints the source line count of each file (src/distreg/*.py plus
 # scripts/run_all.py) and their total, which ROADMAP.md tracks.
 set -euo pipefail
@@ -54,9 +56,12 @@ for name, seed in [*((name, "101") for name in recorded), ("theory-mc", "0"), ("
     digest = recorded[name]["rows_sha256"].get(seed)  # None where baseline.json records no digest
     if not result["correct"] or digest not in (None, report["rows_sha256"]):
         sys.exit(f"check.sh: {name} at seed {seed}: correct {result['correct']}, rows_sha256 {report['rows_sha256']}")
-    setup_s, peak_rss_mb = (result["metrics"][key]["value"] for key in ("setup_s", "peak_rss_mb"))
+    p50, setup_s, peak_rss_mb = (result["metrics"][key]["value"] for key in ("unit_p50_ms", "setup_s", "peak_rss_mb"))
     checked = ", rows_sha256 as recorded" if digest else ""
-    print(f"check.sh: {name} at seed {seed} is correct{checked}; setup_s {setup_s:.2f}, peak_rss_mb {peak_rss_mb:.1f}")
+    print(
+        f"check.sh: {name} at seed {seed} is correct{checked}; failed/attempted {result['failed']}/{result['attempted']},"
+        f" unit_p50_ms {p50:.1f}, setup_s {setup_s:.2f}, peak_rss_mb {peak_rss_mb:.1f}"
+    )
 PY
 
 wc -l src/distreg/*.py scripts/run_all.py

@@ -18,6 +18,7 @@ from .meta_world import check_positive, real_array
 
 __all__ = [
     "KernelSpec",
+    "GridCoverageError",
     "BOXCAR",
     "EPANECHNIKOV",
     "GAUSSIAN",
@@ -94,6 +95,10 @@ BOXCAR = KernelSpec("boxcar")
 EPANECHNIKOV = KernelSpec("epanechnikov")
 GAUSSIAN = KernelSpec("gaussian")
 KERNELS = {k.kind: k for k in (BOXCAR, EPANECHNIKOV, GAUSSIAN)}
+
+
+class GridCoverageError(ValueError):
+    """A compact-support estimate has mass outside the quadrature grid."""
 
 
 def kernel_value(kernel: KernelSpec, u: float) -> float:
@@ -215,6 +220,20 @@ def _sum_rows(u: np.ndarray, b: float, profile, scale: float, out: np.ndarray) -
     np.multiply(u.sum(axis=1), scale, out=out)
 
 
+def _tiles(est: DensityEstimate):
+    """Both tiled paths' set-up: the factor 1/(n c b^dim), the profile, the rows per tile and a (rows, samples) scratch.
+
+    The scratch starts on a 64-byte line (7 spare floats), so the tile loop's
+    speed does not follow where the allocator happened to put it.
+    """
+    n = est.count
+    tile = max(1, _TILE_ELEMENTS // n)
+    buf = np.empty(tile * n + 7)
+    skip = (-buf.ctypes.data % 64) // 8
+    scale = 1.0 / (n * radial_normalizer(est.kernel.kind, est.dim) * est.bandwidth**est.dim)
+    return scale, _PROFILES[est.kernel.kind], tile, buf[skip : skip + tile * n].reshape(tile, n)
+
+
 def _eval_dense(est: DensityEstimate, x: np.ndarray) -> np.ndarray:
     """Density at every query row, tile by tile.
 
@@ -223,20 +242,16 @@ def _eval_dense(est: DensityEstimate, x: np.ndarray) -> np.ndarray:
     squared distances.  A compact profile is an exact 0 outside its support,
     so rows far from every sample need no special case.
     """
-    b, n = est.bandwidth, est.count
-    scale = 1.0 / (n * radial_normalizer(est.kernel.kind, est.dim) * b**est.dim)
-    profile = _PROFILES[est.kernel.kind]
-    tile = max(1, _TILE_ELEMENTS // n)
-    u_buf = np.empty(tile * n)  # flat, reshaped per tile, so every operand is C-contiguous
+    scale, profile, tile, scratch = _tiles(est)
     values = np.empty(x.shape[0])
     for first in range(0, x.shape[0], tile):
         qt = x[first : first + tile]
-        u = _squared_distances(qt, est.points, out=u_buf[: qt.shape[0] * n].reshape(qt.shape[0], n))
-        _sum_rows(u, b, profile, scale, out=values[first : first + tile])
+        u = _squared_distances(qt, est.points, out=scratch[: qt.shape[0]])  # leading rows: C-contiguous
+        _sum_rows(u, est.bandwidth, profile, scale, out=values[first : first + tile])
     return values
 
 
-def _eval_grid(est: DensityEstimate, axes) -> np.ndarray:
+def _eval_grid(est: DensityEstimate, axes, box) -> np.ndarray:
     """Density of an estimate of dim >= 2 at every node of the product of its axes (flattened, C order).
 
     Equals the dense path at the mesh bit for bit: a node's squared distance
@@ -244,28 +259,22 @@ def _eval_grid(est: DensityEstimate, axes) -> np.ndarray:
     squared difference, which is the dense path's sum in axis order.  A tile
     is whole lines along the last axis, or one stretch of a line, at the
     dense path's cap; its squared distances are computed per tile, so memory
-    does not grow with the grid.  For the compact kernels the nodes outside
-    the support box, widened by _SUPPORT_MARGIN, are 0: per axis only the
-    nodes inside it are evaluated.
+    does not grow with the grid.  box is a compact estimate's support box, or
+    None: the nodes outside it, widened by _SUPPORT_MARGIN, are 0, so per
+    axis only the nodes inside it are evaluated.
     """
-    b, dim, n = est.bandwidth, est.dim, est.count
-    scale = 1.0 / (n * radial_normalizer(est.kernel.kind, dim) * b**dim)
-    boxes = [slice(None)] * dim
-    if math.isfinite(est.kernel.support_radius):
-        lo, hi = est.support_box()
-        pad = _SUPPORT_MARGIN * np.maximum(np.abs(lo), np.abs(hi))
-        boxes = [slice(np.searchsorted(a, l), np.searchsorted(a, h, "right")) for a, l, h in zip(axes, lo - pad, hi + pad)]
-    kept = [axis[box] for axis, box in zip(axes, boxes)]
+    scale, profile, tile, scratch = _tiles(est)
+    boxes = [slice(None)] * est.dim
+    if box is not None:
+        pad = _SUPPORT_MARGIN * np.abs(box).max(axis=0)
+        ends = zip(axes, box[0] - pad, box[1] + pad)
+        boxes = [slice(np.searchsorted(a, l), np.searchsorted(a, h, "right")) for a, l, h in ends]
+    kept = [axis[cut] for axis, cut in zip(axes, boxes)]
     # The leading axes' nodes in C order, one row each; the last axis runs along a line.
-    leading = kept[0][:, None]
-    for axis in kept[1:-1]:
-        leading = np.column_stack((np.repeat(leading, axis.size, axis=0), np.tile(axis, leading.shape[0])))
+    leading = np.stack([g.ravel() for g in np.meshgrid(*kept[:-1], indexing="ij")], axis=-1)
     last = kept[-1]
-    profile = _PROFILES[est.kernel.kind]
-    tile = max(1, _TILE_ELEMENTS // n)
     width = max(1, min(last.size, tile))
-    lines = max(1, tile // width)
-    u_buf = np.empty(lines * width * n)
+    lines = tile // width
     values = np.empty(leading.shape[0] * last.size)  # the box's nodes in C order: a tile's are contiguous
     for start in range(0, last.size, width):
         stretch = last[start : start + width, None]
@@ -273,10 +282,10 @@ def _eval_grid(est: DensityEstimate, axes) -> np.ndarray:
         for first in range(0, leading.shape[0], lines):
             rows = leading[first : first + lines]
             sq_leading = _squared_distances(rows, est.points)
-            u = u_buf[: rows.shape[0] * stretch.shape[0] * n].reshape(rows.shape[0], stretch.shape[0], n)
-            np.add(sq_leading[:, None, :], sq_last[None, :, :], out=u)
+            u = scratch[: rows.shape[0] * stretch.shape[0]]
+            np.add(sq_leading[:, None, :], sq_last[None, :, :], out=u.reshape(rows.shape[0], stretch.shape[0], -1))
             node = first * last.size + start
-            _sum_rows(u.reshape(-1, n), b, profile, scale, out=values[node : node + u.shape[0] * u.shape[1]])
+            _sum_rows(u, est.bandwidth, profile, scale, out=values[node : node + u.shape[0]])
     out = np.zeros(tuple(axis.size for axis in axes))
     out[tuple(boxes)] = values.reshape([a.size for a in kept])
     return out.ravel()
@@ -311,13 +320,13 @@ def kde_eval_many(est: DensityEstimate, x=None, *, grid=None) -> np.ndarray:
     """Evaluate the estimate at an (m, dim) array of query points, or at every node of a grid.
 
     Give exactly one of x and ``grid``, a ``GridSpec``: its values are those
-    at ``grid.mesh()``, in the same order.  Three paths: 1D compact
-    estimates use prefix sums over the sorted samples; an estimate of
-    dim >= 2 on a grid is evaluated from per-axis squared differences, with
-    the same bits as at the mesh; everything else takes the dense path.  A
-    repeat call on the same grid copies the estimate's last grid values
-    instead of recomputing them; query points are evaluated on every call.
-    The returned array is always fresh and writable.
+    at ``grid.mesh()``, in the same order; a compact support that escapes the
+    grid raises GridCoverageError.  Three paths: 1D compact estimates use
+    prefix sums over the sorted samples; an estimate of dim >= 2 on a grid
+    is evaluated from per-axis squared differences, with the same bits as at
+    the mesh; everything else takes the dense path.  A repeat call on the
+    same grid copies the estimate's last grid values, checked then; query
+    points are evaluated on every call.  The result is fresh and writable.
     """
     if (x is None) == (grid is None):
         raise ValueError("give exactly one of x and grid")
@@ -326,13 +335,17 @@ def kde_eval_many(est: DensityEstimate, x=None, *, grid=None) -> np.ndarray:
     if grid is not None and last[0] is grid:
         return last[1].copy()
     if x.ndim != 2 or x.shape[1] != est.dim:
-        raise ValueError(f"query points must have dimension {est.dim}")
-    if not np.isfinite(x).all():
+        raise ValueError(f"query points and grids must have the estimate's dimension {est.dim}")
+    if grid is None and not np.isfinite(x).all():  # a grid's nodes are finite by construction
         raise ValueError("query points contain non-finite values (nan or inf)")
-    if est.dim == 1 and math.isfinite(est.kernel.support_radius):
+    compact = math.isfinite(est.kernel.support_radius)
+    box = est.support_box() if compact and grid is not None else None
+    if box is not None and (np.any(box[0] < grid.lo) or np.any(box[1] > grid.hi)):
+        raise GridCoverageError(f"compact support [{box[0]}, {box[1]}] escapes grid [{grid.lo}, {grid.hi}]")
+    if est.dim == 1 and compact:
         values = _eval_compact_1d(est, x)
     elif grid is not None and est.dim > 1:
-        values = _eval_grid(est, grid.axes())
+        values = _eval_grid(est, grid.axes(), box)
     else:
         values = _eval_dense(est, x)
     if grid is not None:
@@ -342,10 +355,7 @@ def kde_eval_many(est: DensityEstimate, x=None, *, grid=None) -> np.ndarray:
 
 def kde_eval(est: DensityEstimate, x) -> float:
     """Evaluate the estimate at a single point of length dim."""
-    x = np.atleast_1d(real_array(x, "x"))
-    if x.shape != (est.dim,):
-        raise ValueError(f"query point must have length {est.dim}")
-    return float(kde_eval_many(est, x[None, :])[0])
+    return float(kde_eval_many(est, np.atleast_1d(real_array(x, "x"))[None, :])[0])
 
 
 def plug_in_bandwidth(spread: float, n: int, dim: int) -> float:

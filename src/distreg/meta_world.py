@@ -67,13 +67,12 @@ def real_coordinates(value, name: str) -> tuple[float, ...]:
 
 
 def real_array(value, name: str) -> np.ndarray:
-    """value as a float array; ValueError unless np.asarray gives it a real, non-bool numeric dtype.
-
-    One test of the dtype, not of each element, so a float array passes in O(1) and is not copied.
-    """
+    """value as a float array; ValueError on a non-real or bool entry (an ndarray by its dtype alone: O(1), no copy)."""
     arr = np.asarray(value)
-    if arr.dtype.kind not in "iuf":
-        raise ValueError(f"{name} must be an array of real numbers, got dtype {arr.dtype}")
+    entries = () if isinstance(value, np.ndarray) else np.asarray(value, dtype=object).flat
+    mixed = any(isinstance(v, (bool, np.bool_)) for v in entries)  # np.asarray makes a bool among numbers a number
+    if arr.dtype.kind not in "iuf" or mixed:
+        raise ValueError(f"{name} must be an array of real numbers, got dtype {'bool' if mixed else arr.dtype}")
     return arr.astype(float, copy=False)
 
 

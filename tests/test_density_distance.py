@@ -98,6 +98,20 @@ def test_coverage_error_for_escaping_compact_support():
     # every grid evaluation of a compact estimate is checked, the integral too
     with pytest.raises(GridCoverageError):
         grid_integral(outside, FINE_GRID)
+    # kde_eval_many(grid=) is the one grid evaluation, so it refuses an escaping support too, in every
+    # dimension: here [0, 1] on the leading axes (touching the grid's faces) and [0, 1.4] on the last.
+    for dim in (1, 2, 3):
+        grid = GridSpec(lo=(0.0,) * dim, hi=(1.0,) * dim, points_per_axis=9)
+        points = np.full((2, dim), 0.5)
+        points[1, -1] = 0.9
+        for kind in ("boxcar", "epanechnikov"):
+            est = dr.kde_build(points, 0.5, dr.KERNELS[kind])
+            for evaluate in (lambda: dr.kde_eval_many(est, grid=grid), lambda: grid_values(est, grid),
+                             lambda: l1_distance(est, est, grid), lambda: grid_integral(est, grid)):
+                with pytest.raises(GridCoverageError, match="escapes grid"):
+                    evaluate()
+            assert grid_integral(est, GridSpec(lo=(-1.0,) * dim, hi=(2.0,) * dim, points_per_axis=9)) > 0.0
+        assert dr.kde_eval_many(dr.kde_build(points, 0.5, dr.GAUSSIAN), grid=grid).shape == (9**dim,)
 
 
 def test_default_grid_pads_three_bandwidths():

@@ -400,9 +400,10 @@ def test_grid_cases_reach_the_boxcar_edge_and_empty_boxes():
     assert np.any(u == 1.0)
     est, grid = _grid_case(rng, "epanechnikov", 2, 7, "gap")
     assert not np.any(grid_values(est, grid))
-    # A support outside the grid on one axis, where grid_values would refuse it.
+    # A support outside the grid on one axis is refused, not evaluated as zeros.
     far = dr.kde_build(est.points + [0.0, 100.0], est.bandwidth, dr.EPANECHNIKOV)
-    assert np.array_equal(dr.kde_eval_many(far, grid=grid), np.zeros(grid.mesh().shape[0]))
+    with pytest.raises(dr.GridCoverageError):
+        dr.kde_eval_many(far, grid=grid)
 
 
 def test_grid_path_memory_stays_at_the_tile_cap():
@@ -421,6 +422,31 @@ def test_grid_path_memory_stays_at_the_tile_cap():
             tracemalloc.stop()
         assert np.array_equal(values, expected), dim
         assert peak < 2**20, (dim, peak)
+
+
+@pytest.mark.parametrize("n", [1, 7, 256, 2**15, 2**16])
+def test_tile_scratch_starts_on_a_64_byte_line(n, monkeypatch):
+    """Both tiled paths' first tile starts on a 64-byte line, wherever the allocator put the buffer, and keeps its bits.
+
+    Arrays of 0-8 floats are kept alive between the calls to move where the next buffer lands.
+    """
+    rng = np.random.default_rng(n)
+    est = dr.kde_build(rng.normal(0.0, 1.0, size=(n, 2)), 0.5, dr.GAUSSIAN)
+    grid = dr.GridSpec(lo=(-3.0, -3.0), hi=(3.0, 3.0), points_per_axis=4)
+    expected = reference_eval(est, grid.mesh())
+    starts, sum_rows, held = [], kernels._sum_rows, []
+
+    def first_tile(u, *args, **kwargs):
+        starts.append(u.ctypes.data)
+        return sum_rows(u, *args, **kwargs)
+
+    monkeypatch.setattr(kernels, "_sum_rows", first_tile)
+    for size in range(9):
+        held.append(np.empty(size))
+        for evaluate in (lambda: _eval_dense(est, grid.mesh()), lambda: kernels._eval_grid(est, grid.axes(), None)):
+            starts.clear()
+            assert np.array_equal(evaluate(), expected)
+            assert starts[0] % 64 == 0, (size, starts[0] % 64)
 
 
 def test_kde_eval_many_takes_points_or_a_grid():
@@ -520,7 +546,7 @@ def test_repeat_evaluation_on_the_mesh_is_fresh_and_exact(kind, dim, monkeypatch
     """A repeat call on the same grid is not recomputed; each result is a fresh, writable copy of the values at its mesh."""
     rng = np.random.default_rng(dim)
     est = dr.kde_build(rng.normal(0.0, 1.0, size=(40, dim)), 0.7, dr.KERNELS[kind])
-    grid = dr.GridSpec(lo=(-4.0,) * dim, hi=(4.0,) * dim, points_per_axis=9)
+    grid = dr.GridSpec(lo=(-5.0,) * dim, hi=(5.0,) * dim, points_per_axis=9)  # holds every support box here
     mesh = grid.mesh()
     prefix = dim == 1 and kind != "gaussian"
     expected = _eval_compact_1d(est, mesh) if prefix else reference_eval(est, mesh)

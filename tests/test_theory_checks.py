@@ -409,6 +409,19 @@ REAL_CASES = {
         "means must be an array of real numbers, got dtype bool", [True, True],
         lambda v: dr.fit_scaling_exponent([16, 64], v),
     ),
+    # A list with a bool among numbers converts to a numeric dtype; its entries are checked.
+    "kde_build-samples-bool-among-numbers": (
+        "samples must be an array of real numbers, got dtype bool", [True, 0.5, 0.25],
+        lambda v: dr.kde_build(v, 0.5, dr.EPANECHNIKOV),
+    ),
+    "DensityEstimate-points-numpy-bool-among-numbers": (
+        "points must be an array of real numbers, got dtype bool", [[0.5, np.True_], [0.25, 1.0]],
+        lambda v: dr.DensityEstimate(v, 0.5, dr.EPANECHNIKOV),
+    ),
+    "fit_scaling_exponent-m-bool-among-numbers": (
+        "m values must be an array of real numbers, got dtype bool", [True, 4],
+        lambda v: dr.fit_scaling_exponent(v, [1.0, 0.5]),
+    ),
     "dyadic_expectation_check-bool": (
         "samples must be an array of real numbers, got dtype bool", [True, False], dr.dyadic_expectation_check
     ),
