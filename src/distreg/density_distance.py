@@ -9,7 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .kernels import DensityEstimate, GridCoverageError, kde_eval_many
-from .meta_world import check_counts, real_coordinates
+from .meta_world import check_counts, check_positive, real_array, real_coordinates
 
 __all__ = [
     "GridSpec",
@@ -27,6 +27,7 @@ _DEFAULT_POINTS = {1: 1024, 2: 128, 3: 48}
 
 
 def default_points_per_axis(dim: int) -> int:
+    check_counts(0, dim=dim)
     if dim not in _DEFAULT_POINTS:
         raise ValueError("quadrature grids support dim <= 3 only")
     return _DEFAULT_POINTS[dim]
@@ -44,7 +45,7 @@ class GridSpec:
         lo, hi = real_coordinates(self.lo, "lo"), real_coordinates(self.hi, "hi")
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-        if len(lo) != len(hi) or not 1 <= len(lo) <= 3:
+        if len(lo) != len(hi) or len(lo) not in _DEFAULT_POINTS:
             raise ValueError("lo and hi must have equal length, 1 <= dim <= 3")
         if not all(-math.inf < a < b < math.inf for a, b in zip(lo, hi)):
             raise ValueError("grid requires finite lo < hi componentwise")
@@ -92,7 +93,8 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 
 def box_grid(lo, hi, pad: float) -> GridSpec:
     """Grid over the box [lo - pad, hi + pad] at the default points per axis."""
-    lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+    lo, hi = real_array(lo, "lo"), real_array(hi, "hi")
+    check_positive(pad=pad)
     return GridSpec(lo=tuple(lo - pad), hi=tuple(hi + pad), points_per_axis=default_points_per_axis(lo.size))
 
 
@@ -120,7 +122,7 @@ def grid_integral(est: DensityEstimate, grid: GridSpec) -> float:
 
 def l1_from_values(pv: np.ndarray, qv: np.ndarray, grid: GridSpec) -> float:
     """Trapezoid integral of |pv - qv| for two grid_values arrays of the same grid."""
-    weights = grid.quadrature_weights()
+    pv, qv, weights = real_array(pv, "pv"), real_array(qv, "qv"), grid.quadrature_weights()
     if np.shape(pv) != weights.shape or np.shape(qv) != weights.shape:
         raise ValueError(f"values must have shape {weights.shape}, one per grid node")
     return float(weights @ np.abs(pv - qv))

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .meta_world import check_positive, real_array
+from .meta_world import check_counts, check_positive, real_array
 
 __all__ = [
     "KernelSpec",
@@ -84,7 +84,7 @@ class KernelSpec:
 
     def profile(self, u):
         """Evaluate the radial profile at nonnegative u (vectorized); nan is rejected."""
-        u = np.array(u, dtype=float)
+        u = np.array(real_array(u, "kernel argument"))
         if not np.all(u >= 0):
             raise ValueError("kernel argument must be nonnegative and not nan")
         _PROFILES[self.kind](u)
@@ -117,6 +117,7 @@ _RADIAL_NORMALIZERS = {
 
 def radial_normalizer(kind: str, dim: int) -> float:
     """Integral of K(||x||) over R^dim, 1 <= dim <= 3: the kernel sum divided by it integrates to one."""
+    check_counts(0, dim=dim)
     if not 1 <= dim <= 3:
         raise ValueError(f"radial constants cover dims 1-3, not {dim}")
     return _RADIAL_NORMALIZERS[kind][dim - 1]
@@ -360,7 +361,11 @@ def kde_eval(est: DensityEstimate, x) -> float:
 
 def plug_in_bandwidth(spread: float, n: int, dim: int) -> float:
     """Plug-in rule: spread times n^(-1/(4+dim)), floored at 1e-3 so degenerate samples stay usable."""
-    return max(spread * n ** (-1.0 / (4 + dim)), 1e-3)
+    check_counts(n=n, dim=dim)
+    spread = real_array(spread, "spread")
+    if spread.ndim or not 0 <= spread < math.inf:
+        raise ValueError(f"spread must be a finite number >= 0, got {spread}")
+    return max(float(spread) * n ** (-1.0 / (4 + dim)), 1e-3)
 
 
 def select_bandwidth(samples) -> float:

@@ -183,7 +183,7 @@ def dyadic_weights(t: np.ndarray, i_max: int | None = None) -> np.ndarray:
     inputs, so weight >= t holds without floating slop.  Buckets past i_max
     (when given) get weight zero, matching a truncated dyadic sum.
     """
-    t = np.asarray(t, dtype=float)
+    t = real_array(t, "samples")
     if not np.all((t >= 0) & (t <= 1)):
         raise ValueError("samples must lie in [0, 1]")
     mant, expo = np.frexp(t)
@@ -191,6 +191,7 @@ def dyadic_weights(t: np.ndarray, i_max: int | None = None) -> np.ndarray:
     weights = np.ldexp(1.0, -idx)
     weights = np.where(t == 0.0, 0.0, weights)
     if i_max is not None:
+        check_counts(0, i_max=i_max)
         weights = np.where(idx > i_max, 0.0, weights)
     return weights
 

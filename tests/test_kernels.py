@@ -141,6 +141,35 @@ def test_no_distreg_module_reads_another_modules_private_names():
     assert sorted(_private_distreg_names(leaky)) == ["_TILE", "_last_eval", "_p", "_paths", "_x"]
 
 
+def _typed_conversions(source: str) -> list[int]:
+    """Line of each np.asarray or np.array call that names a dtype, by keyword or as its second argument."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Attribute)
+            and node.func.attr in ("array", "asarray")
+            and isinstance(node.func.value, ast.Name)
+            and node.func.value.id in ("np", "numpy")
+            and (len(node.args) > 1 or any(keyword.arg == "dtype" for keyword in node.keywords))
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_no_distreg_module_but_meta_world_converts_an_argument_to_a_dtype_of_its_own():
+    """meta_world.real_array is the one float conversion of an argument: no other src/distreg file converts with a dtype."""
+    sources = sorted(Path(kernels.__file__).parent.glob("*.py"))
+    assert {"kernels.py", "density_distance.py", "theory_checks.py"} <= {path.name for path in sources}
+    found = [f"{path.name}:{line}" for path in sources if path.name != "meta_world.py" for line in _typed_conversions(path.read_text())]
+    assert found == []
+    leaky = (
+        "import numpy as np\nnp.asarray(x, dtype=float)\nnp.array(y, float)\nnp.array(z)\n"
+        "np.asarray(w, order='C')\nnp.zeros(3, dtype=int)\nz.astype(float)\nnumpy.array(v, dtype=object)\n"
+    )
+    assert _typed_conversions(leaky) == [2, 3, 8]
+
+
 def test_kde_build_single_boxcar_bump():
     est = dr.kde_build([[0.0]], 1.0, dr.BOXCAR)
     assert dr.kde_eval(est, [0.5]) == 0.5

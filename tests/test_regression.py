@@ -1,5 +1,6 @@
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -333,6 +334,16 @@ def test_library_runs_without_scipy():
     cmd = [sys.executable, "-c", _NO_SCIPY]
     done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=120, check=True)
     assert done.stdout.strip() == "[]"
+
+
+def test_readme_library_example_runs():
+    """README's one python block, "Library at a glance", runs as written and exits 0."""
+    root = Path(__file__).resolve().parents[1]
+    blocks = re.findall(r"^```python\n(.*?)^```", (root / "README.md").read_text(), re.MULTILINE | re.DOTALL)
+    assert len(blocks) == 1
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    done = subprocess.run([sys.executable, "-c", blocks[0]], env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
 
 
 def test_calibrate_validation():

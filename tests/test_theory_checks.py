@@ -9,6 +9,8 @@ from scipy.stats import binom
 
 import distreg as dr
 from distreg import theory_checks
+from distreg.density_distance import box_grid, default_points_per_axis, l1_from_values
+from distreg.kernels import plug_in_bandwidth, radial_normalizer
 from distreg.meta_world import draw_thetas, sup_distances
 from distreg.regression import draw_labeled_dataset
 from distreg.theory_checks import dyadic_weights, lemma1_rhs
@@ -288,6 +290,8 @@ COUNT_CASES = {
     "MetaDistribution-dim-float": ("dim", 1.5, lambda v, rng: dr.MetaDistribution(dim=v)),
     "MetaDistribution-dim-zero": ("dim", 0, lambda v, rng: dr.MetaDistribution(dim=v)),
     "GridSpec-points_per_axis-str": ("points_per_axis", "8", lambda v, rng: dr.GridSpec((0.0,), (1.0,), v)),
+    "plug_in_bandwidth-n-zero": ("n", 0, lambda v, rng: plug_in_bandwidth(1.0, v, 1)),
+    "plug_in_bandwidth-dim-bool": ("dim", True, lambda v, rng: plug_in_bandwidth(1.0, 10, v)),
 }
 
 
@@ -340,6 +344,7 @@ POSITIVE_CASES = {
     "lemma1_rhs-d-bool": ("d", True, lambda v, rng: lemma1_rhs(v, 4, 3)),
     "lemma1_rhs-d-str": ("d", "2", lambda v, rng: lemma1_rhs(v, 4, 3)),
     "MetaDistribution-base_width-int-beyond-float": ("base_width", 10**400, lambda v, rng: dr.MetaDistribution(base_width=v)),
+    "box_grid-pad-negative": ("pad", -0.2, lambda v, rng: box_grid([0.0], [1.0], v)),
 }
 
 
@@ -425,6 +430,30 @@ REAL_CASES = {
     "dyadic_expectation_check-bool": (
         "samples must be an array of real numbers, got dtype bool", [True, False], dr.dyadic_expectation_check
     ),
+    "KernelSpec.profile-u-str": (
+        "kernel argument must be an array of real numbers, got dtype <U3", "0.5", dr.EPANECHNIKOV.profile
+    ),
+    "kernel_value-u-bool": (
+        "kernel argument must be an array of real numbers, got dtype bool", True,
+        lambda v: dr.kernel_value(dr.EPANECHNIKOV, v),
+    ),
+    "dyadic_weights-str-and-bool": ("samples must be an array of real numbers, got dtype bool", ["0.5", True], dyadic_weights),
+    "box_grid-lo-str": ("lo must be an array of real numbers, got dtype <U1", ["0"], lambda v: box_grid(v, ["1"], 0.1)),
+    "l1_from_values-pv-bool": (
+        "pv must be an array of real numbers, got dtype bool", [True, False, True, True],
+        lambda v: l1_from_values(v, np.zeros(4), dr.GridSpec((0.0,), (1.0,), 4)),
+    ),
+    # A spread may be 0 (a degenerate sample), so its rule is one finite number >= 0.
+    "plug_in_bandwidth-spread-nan": ("spread must be a finite number >= 0, got nan", math.nan, lambda v: plug_in_bandwidth(v, 10, 1)),
+    "plug_in_bandwidth-spread-negative": (
+        "spread must be a finite number >= 0, got -5.0", -5, lambda v: plug_in_bandwidth(v, 10, 1)
+    ),
+    "plug_in_bandwidth-spread-list": ("spread must be a finite number >= 0, got [1.]", [1.0], lambda v: plug_in_bandwidth(v, 10, 1)),
+    # Counts that may be 0 take check_counts(0, ...); a table lookup then rejects a dim it has no entry for.
+    "radial_normalizer-dim-bool": ("dim must be an integer >= 0, got True", True, lambda v: radial_normalizer("gaussian", v)),
+    "radial_normalizer-dim-float": ("dim must be an integer >= 0, got 1.5", 1.5, lambda v: radial_normalizer("gaussian", v)),
+    "default_points_per_axis-dim-float": ("dim must be an integer >= 0, got 2.0", 2.0, default_points_per_axis),
+    "dyadic_weights-i_max-negative": ("i_max must be an integer >= 0, got -1", -1, lambda v: dyadic_weights([0.5], i_max=v)),
 }
 
 
